@@ -37,6 +37,11 @@ __all__ = [
     "make_calibrated_forecaster",
 ]
 
+# largest grid whose invariant play is a direct solve; above it, iteration
+_DENSE_MAX = 320
+# restart probability of the damped chain whose invariant vector is played
+_DELTA = 1e-9
+
 
 @dataclass
 class ForecastRecord:
@@ -97,12 +102,24 @@ class CalibratedForecaster:
     """Randomized forecaster over the epsilon-grid of the outcome simplex.
 
     ``predict`` samples a grid forecast from the invariant distribution of
-    the normalized positive-part regret matrix (a damped direct solve on
-    small grids, warm-started power iteration above); ``observe`` charges
-    the quadratic checking loss of the issued forecast against every
-    alternative.  Long-run calibration scores are bounded by a constant
-    times the grid pitch, almost surely, for any outcome sequence that
-    does not react to the current forecast.
+    the normalized positive-part regret matrix; ``observe`` charges the
+    quadratic checking loss of the issued forecast against every
+    alternative and updates that forecast's positive-part regret row and
+    its row sum, the only ones the step changes.  Long-run calibration
+    scores are bounded by a constant times the grid pitch, almost surely,
+    for any outcome sequence that does not react to the current forecast.
+
+    On grids of at most 320 points the invariant distribution comes from a
+    damped direct solve of the balance equations.  A grid point whose
+    positive regret row is zero (a forecast never issued, or one whose
+    regrets all went non-positive) is absorbing up to the restart, so its
+    column of the balance matrix is the restart rate times a unit vector
+    and the system is block-triangular: the points whose rows have been
+    positive at some step are solved on their own block, which ``observe``
+    keeps as a copy of their positive regrets, and every other point
+    follows from them in closed form.  Forecasters issue a new grid point
+    nearly every step, so the block grows with the step count rather than
+    with the grid.  Larger grids use warm-started power iteration.
     """
 
     def __init__(self, n_outcomes: int, epsilon: float):
@@ -117,35 +134,83 @@ class CalibratedForecaster:
         sq = (self.grid**2).sum(axis=1)
         self.loss = sq[:, None] + 1.0 - 2.0 * self.grid
         self._regret = np.zeros((q, q))
+        # positive part of _regret and its row sums, kept up to date by observe
+        self._pos = np.zeros((q, q))
+        self._rows = np.zeros(q)
         self._play = np.full(q, 1.0 / q)
         self._last: int | None = None
+        if q <= _DENSE_MAX:
+            self._rhs = np.full(q, _DELTA / q)
+            self._abuf = np.empty(q * q)
+            self._block = np.empty((q, q))
+        self._reset_block()
+
+    def _reset_block(self) -> None:
+        # grid points in the order their regret rows first turned positive:
+        # _block[r, s] = _pos[_order[r], _order[s]] for r, s < _m.  Once all
+        # q points are in, the solve reads _pos itself; large grids keep no
+        # block and start there.
+        q = self._rows.size
+        self._order = np.arange(q)
+        self._rank = np.arange(q)
+        self._m = 0 if q <= _DENSE_MAX else q
 
     def reset(self) -> None:
         self._regret.fill(0.0)
+        self._pos.fill(0.0)
+        self._rows.fill(0.0)
         self._play.fill(1.0 / self._play.size)
         self._last = None
+        self._reset_block()
 
     def _invariant_play(self) -> np.ndarray:
-        pos = np.maximum(self._regret, 0.0)
-        rows = pos.sum(axis=1)
+        pos = self._pos
+        rows = self._rows
         kappa = rows.max()
         if kappa <= 0.0:
             return self._play
         q = rows.size
-        if q <= 320:
+        if q <= _DENSE_MAX:
             # damped balance equations: the chain moving along positive
             # regrets, restarted uniformly with probability delta, has a
             # unique invariant vector and a provably nonsingular system
-            delta = 1e-9
+            #   A p = delta / q,  A = (I - (1-delta) P)^T
+            # with P = pos/kappa + diag(1 - rows/kappa).  A point j with
+            # rows[j] == 0 has column delta * e_j in A, so the block B of
+            # points ever live (a superset of the live ones) solves alone,
+            # and row j of the system gives, for j outside B,
+            #   p_j = 1/q + (scale/delta) * sum_{i in B} pos[i, j] p_i.
+            delta = _DELTA
             scale = (1.0 - delta) / kappa
-            # A = (I - (1-delta) P)^T with P = pos/kappa + diag(1 - rows/kappa)
-            a = -scale * pos.T
-            idx = np.arange(q)
-            a[idx, idx] = delta + scale * rows
-            p = np.linalg.solve(a, np.full(q, delta / q))
-            if p.min() >= -1e-9 and np.isfinite(p).all() and p.sum() > 0:
-                p = np.maximum(p, 0.0)
-                return p / p.sum()
+            m = self._m
+            if m == q:
+                src, block = pos, slice(None)
+            else:
+                src, block = self._block[:m, :m], self._order[:m]
+            # a.T is A restricted to the block, in block order
+            a = self._abuf[: m * m].reshape(m, m)
+            np.multiply(src, -scale, out=a)
+            diag = self._abuf[: m * m : m + 1]
+            np.multiply(rows[block], scale, out=diag)
+            diag += delta
+            p = np.linalg.solve(a.T, self._rhs[:m])
+            if m < q:
+                x = np.zeros(q)
+                x[block] = p
+                full = x @ pos
+                full *= scale / delta
+                full += 1.0 / q
+                full[block] = p
+                p = full
+            lo = p.min()
+            s = p.sum()
+            # a NaN entry fails the min test, an infinite one the sum test
+            if lo >= -1e-9 and 0.0 < s < math.inf:
+                if lo < 0.0:
+                    np.maximum(p, 0.0, out=p)
+                    s = p.sum()
+                p /= s
+                return p
         # fall back to power iteration on the lazy chain
         M = pos * (0.5 / kappa)
         diag = 1.0 - rows * (0.5 / kappa)
@@ -175,8 +240,31 @@ class CalibratedForecaster:
         if self._last is None:
             raise RuntimeError("observe called before predict")
         k = self._last
-        self._regret[k] += self.loss[k, outcome] - self.loss[:, outcome]
+        row = self._regret[k]
+        row += self.loss[k, outcome] - self.loss[:, outcome]
+        pos_k = self._pos[k]
+        np.maximum(row, 0.0, out=pos_k)
+        self._rows[k] = pos_k.sum()
+        if self._m < self._rows.size:
+            self._update_block(k)
         self._last = None
+
+    def _update_block(self, k: int) -> None:
+        """Copy row k of ``_pos`` into the block, adding k if it just went live."""
+        m = self._m
+        r = self._rank[k]
+        if r >= m:
+            if self._rows[k] == 0.0:
+                return
+            other = self._order[m]
+            self._order[m], self._order[r] = k, other
+            self._rank[k], self._rank[other] = m, r
+            r = m
+            m = self._m = m + 1
+            if m == self._rows.size:
+                return
+            self._block[:m, r] = self._pos[self._order[:m], k]
+        self._block[r, :m] = self._pos[k, self._order[:m]]
 
 
 def make_calibrated_forecaster(n_outcomes: int, epsilon: float) -> CalibratedForecaster:

@@ -319,11 +319,11 @@ def _block_cumulative(p: np.ndarray, z: np.ndarray, total: float) -> np.ndarray:
     one-ulp difference in a cumulative sum (tied outcomes added in a
     different order, a padded zero entry, or a probability vector off one
     ulp from mass one) would otherwise leak into the value.  Block
-    boundaries use exactly rounded sums divided by the exactly rounded
-    total mass, which pins them to identical floats for every permutation
-    and padding and makes a full-mass cumulative exactly one.  Entries
-    inside a block keep a running sum, whose evaluation cancels when the
-    block telescopes.
+    boundaries are exactly rounded prefix sums divided by the exactly
+    rounded total mass, which pins them to identical floats for every
+    permutation and padding and makes a full-mass cumulative exactly one.
+    Entries inside a block keep a running sum from the block's start,
+    whose evaluation cancels when the block telescopes.
     """
     cum = np.cumsum(p)
     start = 0.0
@@ -333,7 +333,7 @@ def _block_cumulative(p: np.ndarray, z: np.ndarray, total: float) -> np.ndarray:
         j = i + 1
         while j < t and z[j] == z[i]:
             j += 1
-        end = start + math.fsum(p[i:j])
+        end = math.fsum(p[:j])
         if j - i > 1:
             cum[i : j - 1] = start + np.cumsum(p[i : j - 1])
         cum[j - 1] = end

@@ -112,3 +112,152 @@ class TestForecaster:
         fc = CalibratedForecaster(2, 0.1)
         rec = drive(fc, nature, 20000, seed=42)
         assert float(calibration_score(rec).max()) <= bound
+
+
+class DenseReference(CalibratedForecaster):
+    """The forecaster with the invariant play solved on the whole grid.
+
+    Positive regrets and their row sums are recomputed from ``_regret`` on
+    every call; the balance system is solved densely on grids up to 320
+    points and by power iteration above.
+    """
+
+    def _invariant_play(self):
+        pos = np.maximum(self._regret, 0.0)
+        rows = pos.sum(axis=1)
+        kappa = rows.max()
+        if kappa <= 0.0:
+            return self._play
+        q = rows.size
+        if q <= 320:
+            delta = 1e-9
+            scale = (1.0 - delta) / kappa
+            a = -scale * pos.T
+            idx = np.arange(q)
+            a[idx, idx] = delta + scale * rows
+            p = np.linalg.solve(a, np.full(q, delta / q))
+            if p.min() >= -1e-9 and np.isfinite(p).all() and p.sum() > 0:
+                p = np.maximum(p, 0.0)
+                return p / p.sum()
+        M = pos * (0.5 / kappa)
+        diag = 1.0 - rows * (0.5 / kappa)
+        p = self._play
+        for _ in range(200):
+            nxt = p @ M + p * diag
+            if np.abs(nxt - p).sum() <= 1e-11:
+                p = nxt
+                break
+            p = nxt
+        p = np.maximum(p, 0.0)
+        return p / p.sum()
+
+
+def issue(fc, k, outcome):
+    """Charge forecast ``k`` against ``outcome`` as if ``predict`` had drawn it."""
+    fc._last = k
+    fc.observe(outcome)
+
+
+def grid_index(fc, point):
+    return int(np.flatnonzero(np.all(np.isclose(fc.grid, point), axis=1))[0])
+
+
+def dead_rows(fc):
+    return int(np.count_nonzero(np.maximum(fc._regret, 0.0).sum(axis=1) == 0.0))
+
+
+def assert_matches_dense(fc):
+    ref = DenseReference(fc.n_outcomes, fc.epsilon)
+    ref._regret[:] = fc._regret
+    ref._play[:] = fc._play
+    got = fc._invariant_play()
+    want = ref._invariant_play()
+    assert np.abs(got - want).max() <= 1e-12
+
+
+class TestInvariantPlay:
+    def test_many_dead_rows(self):
+        fc = CalibratedForecaster(4, 0.1)
+        rng = np.random.default_rng(1)
+        for _ in range(25):
+            issue(fc, int(rng.integers(fc.grid.shape[0])), int(rng.integers(4)))
+        assert fc.grid.shape[0] == 286 and dead_rows(fc) >= 260
+        assert_matches_dense(fc)
+
+    @pytest.mark.parametrize("n_outcomes", [3, 4])
+    def test_single_live_row(self, n_outcomes):
+        fc = CalibratedForecaster(n_outcomes, 0.1)
+        point = np.full(n_outcomes, 0.1)
+        point[0] = 1.0 - 0.1 * (n_outcomes - 1)
+        issue(fc, grid_index(fc, point), 1)
+        assert dead_rows(fc) == fc.grid.shape[0] - 1
+        assert_matches_dense(fc)
+
+    @pytest.mark.parametrize("n_outcomes", [2, 3, 4])
+    def test_all_rows_live(self, n_outcomes):
+        fc = CalibratedForecaster(n_outcomes, 0.1)
+        for k, g in enumerate(fc.grid):
+            # an outcome the forecast does not put all its mass on
+            issue(fc, k, int(np.argmin(g)))
+        assert dead_rows(fc) == 0
+        assert_matches_dense(fc)
+
+    @pytest.mark.parametrize("n_outcomes", [2, 3, 4])
+    def test_row_whose_regrets_turned_non_positive(self, n_outcomes):
+        fc = CalibratedForecaster(n_outcomes, 0.1)
+        rng = np.random.default_rng(n_outcomes)
+        for _ in range(6):
+            issue(fc, int(rng.integers(fc.grid.shape[0])), int(rng.integers(n_outcomes)))
+        # a minimum-norm grid point that has seen every outcome once has no
+        # positive regret: each alternative's total loss is at least its own
+        k = int(np.argmin((fc.grid**2).sum(axis=1)))
+        issue(fc, k, 0)
+        assert fc._rows[k] > 0.0
+        for y in range(1, n_outcomes):
+            issue(fc, k, y)
+        assert fc._rows[k] == 0.0 and fc._regret[k].min() < 0.0
+        assert_matches_dense(fc)
+
+    @pytest.mark.parametrize(
+        "n_outcomes,epsilon,steps",
+        [(2, 0.1, 3000), (3, 0.1, 600), (4, 0.1, 200), (5, 0.125, 12)],
+    )
+    def test_forecasts_match_dense_reference(self, n_outcomes, epsilon, steps):
+        # grids of 11, 66, 286 and (power iteration) 495 points
+        for seed in (0, 1):
+            new = CalibratedForecaster(n_outcomes, epsilon)
+            ref = DenseReference(n_outcomes, epsilon)
+            rng_new = np.random.default_rng(seed)
+            rng_ref = np.random.default_rng(seed)
+            nature = np.random.default_rng([seed, 1])
+            weights = nature.dirichlet(np.ones(n_outcomes))
+            for _ in range(steps):
+                k = new.predict(rng_new)
+                assert k == ref.predict(rng_ref)
+                y = int(nature.choice(n_outcomes, p=weights))
+                new.observe(y)
+                ref.observe(y)
+            if new.grid.shape[0] > 320:
+                assert np.array_equal(new._play, ref._play)
+
+    @pytest.mark.parametrize("n_outcomes,epsilon", [(2, 0.1), (3, 0.1), (4, 0.1), (5, 0.125)])
+    def test_kept_positive_part_is_exact(self, n_outcomes, epsilon):
+        fc = CalibratedForecaster(n_outcomes, epsilon)
+        q = fc.grid.shape[0]
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            for step in range(400):
+                issue(fc, int(rng.integers(q)), int(rng.integers(n_outcomes)))
+                if step % 50 == 0 or step == 399:
+                    pos = np.maximum(fc._regret, 0.0)
+                    assert np.array_equal(fc._pos, pos)
+                    assert np.array_equal(fc._rows, pos.sum(axis=1))
+                    m = fc._m
+                    if m < q:
+                        block = fc._order[:m]
+                        assert np.array_equal(fc._block[:m, :m], pos[np.ix_(block, block)])
+                        # every live point is in the block
+                        assert np.all(pos[fc._order[m:]] == 0.0)
+            fc.reset()
+            assert not fc._regret.any() and not fc._pos.any() and not fc._rows.any()
+            assert fc._m == (0 if q <= 320 else q)

@@ -1,5 +1,6 @@
 """CPT evaluation: weighting, values, decision weights, regret."""
 
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -9,6 +10,7 @@ from cpt_games.cpt import (
     CptPreferences,
     Lottery,
     RegretTriples,
+    _block_cumulative,
     cpt_regret,
     cpt_value,
     decision_weights,
@@ -186,6 +188,28 @@ class TestCptValue:
         # worst outcome weighted w(-from bottom): pi(-3) = w(0.5), pi(-1) = 1 - w(0.5)
         expected = -3.0 * w(0.5) + -1.0 * (1.0 - w(0.5))
         assert cpt_value(lot, prefs) == pytest.approx(expected, abs=1e-12)
+
+    def test_full_mass_cumulative_is_exactly_one(self):
+        # running block sums reach 0.9999999999999999 here although the
+        # exactly rounded mass is 1.0; Prelec's slope at 1 turns that ulp
+        # into a value error of 3e-8
+        probs = [0.01922898478928853, 0.20209778718534505, 0.47282849227177554, 0.30584473575359084]
+        outcomes = [0.9817, 0.9205, 0.8365, -0.0903]
+        reference, gamma = -0.2037, 0.4107
+        p = np.array(probs)
+        cum = _block_cumulative(p, np.array(outcomes), math.fsum(probs))
+        assert cum[-1] == 1.0
+
+        def w(x):
+            return 0.0 if x == 0.0 else math.exp(-((-math.log(x)) ** gamma))
+
+        # every outcome is a gain and they are already sorted best first
+        tops = [math.fsum(probs[:j]) / math.fsum(probs) for j in range(len(probs) + 1)]
+        expected = sum(
+            (z - reference) * (w(tops[j + 1]) - w(tops[j])) for j, z in enumerate(outcomes)
+        )
+        prefs = CptPreferences(identity_value(reference), prelec_weighting(gamma), identity_weighting())
+        assert abs(cpt_value(Lottery(probs, outcomes), prefs) - expected) <= 1e-12
 
 
 class TestCptRegret:
