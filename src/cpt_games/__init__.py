@@ -60,7 +60,6 @@ from .calibration import (
     CalibratedForecaster,
     ForecastRecord,
     calibration_score,
-    make_calibrated_forecaster,
 )
 from .engine import (
     ActionScriptStrategy,

@@ -34,7 +34,6 @@ __all__ = [
     "ForecastRecord",
     "calibration_score",
     "CalibratedForecaster",
-    "make_calibrated_forecaster",
 ]
 
 # largest grid whose invariant play is a direct solve; above it, iteration
@@ -265,7 +264,3 @@ class CalibratedForecaster:
                 return
             self._block[:m, r] = self._pos[self._order[:m], k]
         self._block[r, :m] = self._pos[k, self._order[:m]]
-
-
-def make_calibrated_forecaster(n_outcomes: int, epsilon: float) -> CalibratedForecaster:
-    return CalibratedForecaster(n_outcomes, epsilon)

@@ -39,6 +39,7 @@ __all__ = [
     "rank_outcomes",
     "decision_weights",
     "cpt_value",
+    "cpt_values",
     "cpt_regret",
     "preferences_to_dict",
     "preferences_from_dict",
@@ -386,6 +387,59 @@ def cpt_value(lottery: Lottery, prefs: CptPreferences) -> float:
     pi, _ = decision_weights(lottery, prefs)
     values = prefs.value(lottery.outcomes[order])
     return float(np.dot(pi, values))
+
+
+def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:
+    """CPT values of G lotteries over one shared outcome vector.
+
+    ``probs`` is a (G, d) array whose rows are probability vectors over the
+    d ``outcomes``; returns the (G,) values ``cpt_value(Lottery(row,
+    outcomes), prefs)`` within rounding.  The rank order, the tie blocks
+    and the gain/loss split depend on the outcomes alone, so they are found
+    once: tied columns are merged, gain boundaries are running sums from
+    the top and loss boundaries running sums from the bottom, each divided
+    by the row's mass, and each weighting function is called once on the
+    whole array.  A boundary whose complement has zero mass is pinned to
+    exactly 1.0, as ``decision_weights`` pins a full-mass cumulative.
+    Other boundaries are running sums rather than exactly rounded prefix
+    sums: on rows of integer weights over a common denominator, such as
+    simplex grids, values agree with ``cpt_value`` within 1e-12.
+    """
+    p = np.asarray(probs, dtype=float)
+    z = np.asarray(outcomes, dtype=float)
+    if p.ndim != 2 or z.shape != (p.shape[1],) or z.size == 0:
+        raise ValueError("probabilities must be (G, d) over d outcomes")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(z))):
+        raise ValueError("probabilities and outcomes must be finite")
+    if np.any(p < -PROB_SUM_TOL) or np.any(p > 1.0 + PROB_SUM_TOL):
+        raise ValueError("lottery probabilities must lie in [0, 1]")
+    order = np.argsort(-z, kind="stable")
+    zs = z[order]
+    starts = np.flatnonzero(np.concatenate(([True], zs[1:] != zs[:-1])))
+    zg = zs[starts]
+    pg = np.add.reduceat(np.clip(p[:, order], 0.0, 1.0), starts, axis=1)
+    above = np.cumsum(pg, axis=1)  # mass of each block and every better one
+    below = np.cumsum(pg[:, ::-1], axis=1)[:, ::-1]  # each block and every worse one
+    mass = above[:, -1:]
+    if np.any(np.abs(mass - 1.0) > PROB_SUM_TOL):
+        raise ValueError("lottery probabilities must sum to 1")
+    zero = np.zeros_like(mass)
+    better = np.hstack((zero, above[:, :-1]))  # mass strictly better than each block
+    worse = np.hstack((below[:, 1:], zero))
+    split = int(np.count_nonzero(zg >= prefs.reference))
+    pi = np.empty_like(pg)
+    if split > 0:
+        cum = np.minimum(above[:, :split] / mass, 1.0)
+        cum[worse[:, :split] == 0.0] = 1.0
+        w = prefs.weight_gain(cum)
+        pi[:, :split] = np.diff(w, axis=1, prepend=0.0)
+    if split < zg.size:
+        cum = np.minimum(below[:, split:] / mass, 1.0)
+        cum[better[:, split:] == 0.0] = 1.0
+        w = prefs.weight_loss(cum)
+        pi[:, split:] = w - np.hstack((w[:, 1:], zero))
+    np.clip(pi, 0.0, None, out=pi)
+    return pi @ prefs.value(zg)
 
 
 def cpt_regret(triples: RegretTriples, prefs: CptPreferences) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpt import cpt_value
+from .cpt import cpt_value, cpt_values
 from .games import (
     Game,
     JointDistribution,
@@ -243,16 +243,12 @@ def sample_region(
 
     Returns the flat opponent-profile vectors (denominator ``resolution``)
     whose worst deviation slack is >= -tol, in deterministic grid order.
+    Every action's value on the whole grid is one ``cpt_values`` call.
     """
-    d = game.num_opponent_profiles(i)
-    grid = simplex_grid(d, resolution)
-    shape = game.opponent_shape(i)
-    keep = []
-    for row in grid:
-        pi = OpponentDistribution(i, row.reshape(shape))
-        if _region_margin(game, i, a_i, pi) >= -tol:
-            keep.append(row)
-    return np.array(keep).reshape(len(keep), d)
+    grid = simplex_grid(game.num_opponent_profiles(i), resolution)
+    outcomes = np.moveaxis(game.payoffs[i], i, 0).reshape(game.num_actions(i), -1)
+    values = np.column_stack([cpt_values(grid, z, game.prefs[i]) for z in outcomes])
+    return grid[values[:, a_i] - values.max(axis=1) >= -tol]
 
 
 def hull_membership(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cpt import CptPreferences, Lottery, preferences_from_dict, preferences_to_dict
+from .cpt import Lottery, preferences_from_dict, preferences_to_dict
 from .engine import RunTrace
 from .games import Game, JointDistribution
 from .mediated import MediatedGame, RandomizedStrategyProfile
@@ -90,12 +90,6 @@ def distribution_from_dict(doc: dict) -> JointDistribution:
 
 def lottery_from_dict(doc: dict) -> Lottery:
     return Lottery.from_entries([(float(p), float(z)) for p, z in doc["entries"]])
-
-
-def preferences_doc(prefs: CptPreferences) -> dict:
-    d = preferences_to_dict(prefs)
-    d["schema_version"] = SCHEMA_VERSION
-    return d
 
 
 def mediated_game_to_dict(

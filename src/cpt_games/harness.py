@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cpt import CptPreferences, identity_value, piecewise_power_value, prelec_weighting
+from .cpt import CptPreferences, eut_preferences, piecewise_power_value, prelec_weighting
 from .engine import ForecastingBestReaction, run_engine, max_calibration_score
 from .equilibrium import check_correlated_eq, check_mediated_eq
 from .fileio import SCHEMA_VERSION, dump_json, write_trace_jsonl
@@ -68,9 +68,7 @@ class RunConfig:
 
 def random_preferences(rng: np.random.Generator, eut: bool = False) -> CptPreferences:
     if eut:
-        return CptPreferences(
-            identity_value(0.0), prelec_weighting(1.0), prelec_weighting(1.0)
-        )
+        return eut_preferences()
     value = piecewise_power_value(
         reference=0.0,
         alpha=rng.uniform(0.5, 1.0),

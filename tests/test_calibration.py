@@ -9,7 +9,6 @@ from cpt_games.calibration import (
     CalibratedForecaster,
     ForecastRecord,
     calibration_score,
-    make_calibrated_forecaster,
 )
 
 
@@ -72,13 +71,13 @@ class TestCalibrationScore:
 
 class TestForecaster:
     def test_grid_pitch(self):
-        fc = make_calibrated_forecaster(3, 0.25)
+        fc = CalibratedForecaster(3, 0.25)
         assert fc.resolution == 4
         assert fc.grid.shape == (math.comb(4 + 2, 2), 3)
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            make_calibrated_forecaster(2, 0.0)
+            CalibratedForecaster(2, 0.0)
 
     def test_deterministic_given_rng(self):
         a = CalibratedForecaster(2, 0.2)

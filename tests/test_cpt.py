@@ -13,6 +13,7 @@ from cpt_games.cpt import (
     _block_cumulative,
     cpt_regret,
     cpt_value,
+    cpt_values,
     decision_weights,
     eut_preferences,
     evaluate_weight,
@@ -210,6 +211,33 @@ class TestCptValue:
         )
         prefs = CptPreferences(identity_value(reference), prelec_weighting(gamma), identity_weighting())
         assert abs(cpt_value(Lottery(probs, outcomes), prefs) - expected) <= 1e-12
+
+
+class TestCptValues:
+    def test_all_loss_bottom_cumulative_is_pinned(self):
+        # running sums from the bottom reach 0.9999999999999999 against the
+        # forward total 1.0; pinned to 1.0 the value matches the scalar path
+        probs = np.array([[0.1, 0.2, 0.3, 0.4]])
+        z = np.array([-1.0, -2.0, -3.0, -4.0])
+        assert np.cumsum(probs[0][::-1])[-1] < np.cumsum(probs[0])[-1] == 1.0
+        w = prelec_weighting(0.5)
+        prefs = CptPreferences(identity_value(0.0), w, w)
+        scalar = cpt_value(Lottery(probs[0], z), prefs)
+        assert abs(cpt_values(probs, z, prefs)[0] - scalar) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "probs, z",
+        [
+            (np.array([0.5, 0.5]), np.array([1.0, 2.0])),
+            (np.array([[0.5, 0.5]]), np.array([1.0])),
+            (np.array([[0.7, 0.7]]), np.array([1.0, 2.0])),
+            (np.array([[1.5, -0.5]]), np.array([1.0, 2.0])),
+            (np.array([[np.nan, 1.0]]), np.array([1.0, 2.0])),
+        ],
+    )
+    def test_rejects_bad_input(self, prelec_prefs, probs, z):
+        with pytest.raises(ValueError):
+            cpt_values(probs, z, prelec_prefs)
 
 
 class TestCptRegret:

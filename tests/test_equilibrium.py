@@ -7,6 +7,7 @@ import pytest
 
 from cpt_games.cpt import cpt_value
 from cpt_games.equilibrium import (
+    action_values,
     best_reaction,
     check_correlated_eq,
     check_mediated_eq,
@@ -18,6 +19,8 @@ from cpt_games.equilibrium import (
     simplex_grid,
 )
 from conftest import pure_nash_profiles
+from cpt_games.harness import random_game
+from cpt_games.scripted import counterexample_game
 from cpt_games.games import (
     Game,
     JointDistribution,
@@ -139,7 +142,48 @@ class TestSimplexGrid:
         assert np.array_equal(a, b)
 
 
+def regions_by_loop(game, i, resolution, tol=1e-9):
+    """Reference: every action's region from one scalar evaluation per grid point."""
+    grid = simplex_grid(game.num_opponent_profiles(i), resolution)
+    shape = game.opponent_shape(i)
+    slack = []
+    for row in grid:
+        values = action_values(game, i, OpponentDistribution(i, row.reshape(shape)))
+        slack.append(values - values.max())
+    slack = np.array(slack)
+    return [grid[slack[:, a] >= -tol] for a in range(game.num_actions(i))]
+
+
+def tied_random_game(seed, sizes):
+    g = random_game(np.random.default_rng(seed), sizes)
+    return Game(g.actions, np.round(g.payoffs * 2.0) / 2.0, g.prefs)
+
+
 class TestSampleRegion:
+    @pytest.mark.parametrize(
+        "make, resolution",
+        [
+            (counterexample_game, 24),
+            (lambda: tied_random_game(3, (2, 3)), 12),
+            (lambda: tied_random_game(4, (3, 3)), 12),
+            (lambda: tied_random_game(5, (3, 3)), 9),
+            (lambda: random_game(np.random.default_rng(6), (3, 3), eut=True), 12),
+            (lambda: random_game(np.random.default_rng(7), (2, 2, 2)), 6),
+        ],
+    )
+    def test_equals_per_point_loop(self, make, resolution):
+        game = make()
+        for i in range(game.n):
+            for a, expected in enumerate(regions_by_loop(game, i, resolution)):
+                assert np.array_equal(sample_region(game, i, a, resolution), expected)
+
+    def test_empty_region_shape(self):
+        payoffs = np.zeros((2, 2, 3))
+        payoffs[0, 0] = 1.0  # action 1 strictly dominated for player 0
+        g = Game([("a", "b"), ("x", "y", "z")], payoffs)
+        pts = sample_region(g, 0, 1, 4)
+        assert pts.shape == (0, 3)
+
     def test_includes_half_half_mixes_at_res_2(self, game, mu_odd, mu_even):
         pts = sample_region(game, 0, 0, 2)
         keys = {tuple(p) for p in pts}

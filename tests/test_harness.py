@@ -33,8 +33,7 @@ class TestGenerators:
         assert g.payoffs.shape == (3, 2, 3, 2)
         assert not any(p.is_eut for p in g.prefs)
         g2 = random_game(rng, (2, 2), eut=True)
-        # prelec gamma 1 is the identity weighting analytically
-        assert all(p.value.kind == "identity" for p in g2.prefs)
+        assert all(p.is_eut for p in g2.prefs)
 
     def test_random_distribution_valid(self):
         rng = np.random.default_rng(2)

@@ -8,12 +8,15 @@ from cpt_games.cpt import (
     CptPreferences,
     Lottery,
     cpt_value,
+    cpt_values,
     decision_weights,
     eut_preferences,
     identity_value,
+    identity_weighting,
     piecewise_power_value,
     prelec_weighting,
     rank_outcomes,
+    tabulated_weighting,
 )
 from cpt_games.equilibrium import check_correlated_eq, check_mediated_eq, hull_membership
 from cpt_games.harness import random_distribution, random_game
@@ -100,6 +103,81 @@ def test_eut_reduction(lot):
 def test_identity_weights_are_sorted_probabilities(lot):
     pi, _ = decision_weights(lot, eut_preferences())
     assert np.array_equal(pi, lot.probs[rank_outcomes(lot)])
+
+
+@st.composite
+def weightings(draw):
+    kind = draw(st.sampled_from(["identity", "prelec", "tabulated"]))
+    if kind == "identity":
+        return identity_weighting()
+    if kind == "prelec":
+        return prelec_weighting(draw(st.floats(min_value=0.3, max_value=2.0)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    knots = st.sets(st.integers(min_value=1, max_value=99), min_size=n, max_size=n)
+    ps, ws = sorted(draw(knots)), sorted(draw(knots))
+    inner = [(p / 100.0, w / 100.0) for p, w in zip(ps, ws)]
+    return tabulated_weighting([(0.0, 0.0)] + inner + [(1.0, 1.0)])
+
+
+@st.composite
+def lottery_batches(draw, max_entries=7):
+    """(probs, outcomes, prefs): rows of integer weights over shared outcomes.
+
+    Outcomes come from a small set half the time, so ties and outcomes at
+    the reference are common; zero weights give zero-probability columns.
+    Rows with all mass on gains and all mass on losses are always added.
+    Integer weights over a common denominator are what simplex grids hold.
+    """
+    d = draw(st.integers(min_value=1, max_value=max_entries))
+    small = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    z = np.array(draw(st.lists(small | outcomes_st, min_size=d, max_size=d)))
+    ref = draw(st.sampled_from([0.0, 0.5]) | st.floats(min_value=-5, max_value=5))
+    if draw(st.booleans()):
+        value = identity_value(ref)
+    else:
+        value = piecewise_power_value(
+            ref,
+            draw(st.floats(min_value=0.3, max_value=1.0)),
+            draw(st.floats(min_value=0.3, max_value=1.0)),
+            draw(st.floats(min_value=1.0, max_value=3.0)),
+        )
+    prefs = CptPreferences(value, draw(weightings()), draw(weightings()))
+    counts = st.lists(st.integers(min_value=0, max_value=9), min_size=d, max_size=d)
+    rows = [np.array(c) for c in draw(st.lists(counts.filter(any), min_size=1, max_size=5))]
+    gain = z >= ref
+    for side in (gain, ~gain):
+        if side.any():
+            rows.append(np.where(side, rows[0] + 1, 0))
+    probs = np.array([r / r.sum() for r in rows], dtype=float)
+    return probs, z, prefs
+
+
+@given(lottery_batches())
+@settings(deadline=None)
+def test_batched_values_match_scalar(batch):
+    probs, z, prefs = batch
+    values = cpt_values(probs, z, prefs)
+    assert values.shape == (probs.shape[0],)
+    for row, v in zip(probs, values):
+        assert abs(v - cpt_value(Lottery(row, z), prefs)) <= 1e-12
+
+
+@given(lottery_batches(), st.randoms(use_true_random=False),
+       st.lists(outcomes_st, max_size=3))
+@settings(deadline=None)
+def test_batched_values_permutation_and_padding_invariance(batch, rnd, pad):
+    probs, z, prefs = batch
+    order = list(range(z.size))
+    rnd.shuffle(order)
+    shuffled = cpt_values(probs[:, order], z[order], prefs)
+    padded = cpt_values(
+        np.hstack((probs, np.zeros((probs.shape[0], len(pad))))),
+        np.concatenate((z, pad)),
+        prefs,
+    )
+    base = cpt_values(probs, z, prefs)
+    assert np.abs(shuffled - base).max() <= 1e-12
+    assert np.abs(padded - base).max() <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
