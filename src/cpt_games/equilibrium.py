@@ -8,7 +8,8 @@ Three membership notions are decided here:
   player attains the maximal CPT value against the others' mix;
 * mediated: every supported conditional lies in the convex hull of the
   per-action acceptance region, decided through a sampled inner
-  approximation of the region plus a linear feasibility check.
+  approximation of the region plus a linear feasibility check over the
+  sample's candidate extreme points.
 
 The acceptance region of (player, action) is the set of opponent mixes
 against which that action is weakly preferred to every deviation.  The
@@ -20,8 +21,6 @@ a mediated member at the same tolerance.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,16 +209,17 @@ def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """
     if dim < 1 or resolution < 1:
         raise ValueError("need dim >= 1 and resolution >= 1")
-    combos = itertools.combinations(range(resolution + dim - 1), dim - 1)
-    out = np.empty((math.comb(resolution + dim - 1, dim - 1), dim), dtype=float)
-    for r, cut in enumerate(combos):
-        prev = -1
-        for j, c in enumerate(cut):
-            out[r, j] = c - prev - 1
-            prev = c
-        out[r, dim - 1] = resolution + dim - 2 - prev
-    out /= float(resolution)
-    return out
+    # extend every prefix by each value its remainder allows, in ascending
+    # order, so the rows come out lexicographic; the last entry takes the rest
+    prefix = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([resolution])
+    for _ in range(dim - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(len(rest)), counts)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        prefix = np.column_stack([prefix[parent], value])
+        rest = rest[parent] - value
+    return np.column_stack([prefix, rest]) / float(resolution)
 
 
 def default_grid_resolution(game: Game, i: int) -> int:
@@ -249,6 +249,39 @@ def sample_region(
     outcomes = np.moveaxis(game.payoffs[i], i, 0).reshape(game.num_actions(i), -1)
     values = np.column_stack([cpt_values(grid, z, game.prefs[i]) for z in outcomes])
     return grid[values[:, a_i] - values.max(axis=1) >= -tol]
+
+
+def _extreme_candidates(points: np.ndarray, resolution: int) -> np.ndarray:
+    """The points of a grid region that may be extreme points of its hull.
+
+    A lattice point c is dropped when c + e_j - e_k and c - e_j + e_k are
+    both in the region for some pair j < k: c is their midpoint, so it is
+    not an extreme point, and the convex hull of the kept points is the
+    hull of the whole region.  Points are looked up by mixed-radix keys of
+    their first d - 1 lattice coordinates (Python integers where int64
+    would overflow).  The kept points stay in their given order.
+    """
+    n, d = points.shape
+    lattice = np.rint(points * resolution).astype(np.int64)
+    big = (resolution + 1) ** (d - 1) > np.iinfo(np.int64).max
+    weight = np.array(
+        [(resolution + 1) ** (d - 2 - j) for j in range(d - 1)] + [0],
+        dtype=object if big else np.int64,
+    )
+    keys = lattice @ weight
+    table = np.sort(keys)
+
+    def present(q):
+        pos = np.minimum(np.searchsorted(table, q), n - 1)
+        return table[pos] == q
+
+    j, k = np.triu_indices(d, 1)
+    row, pair = np.nonzero((lattice[:, j] > 0) & (lattice[:, k] > 0))
+    step = (weight[j] - weight[k])[pair]
+    mid = present(keys[row] + step) & present(keys[row] - step)
+    dropped = np.zeros(n, dtype=bool)
+    dropped[row[mid]] = True
+    return points[~dropped]
 
 
 def hull_membership(
@@ -285,21 +318,26 @@ def _hull_check_one(
     resolution: int,
     tol: float,
     region_cache: dict | None,
-) -> Certificate:
-    """Hull membership of one conditional against its acceptance region."""
+) -> tuple[Certificate, int]:
+    """Hull membership of one conditional against its acceptance region.
+
+    The region is cut to its candidate extreme points once, before it is
+    cached.  Returns the certificate and the number of region points handed
+    to the hull LP.
+    """
     # a conditional that passes the exact region test certifies itself
     if _region_margin(game, i, a_i, pi) >= -tol:
         return Certificate(
             True, 0.0, {"kind": "hull", "theta": [1.0], "points": [pi.flat().tolist()]}
-        )
+        ), 0
     key = (i, a_i)
     if region_cache is not None and key in region_cache:
         points = region_cache[key]
     else:
-        points = sample_region(game, i, a_i, resolution, tol)
+        points = _extreme_candidates(sample_region(game, i, a_i, resolution, tol), resolution)
         if region_cache is not None:
             region_cache[key] = points
-    return hull_membership(pi, points, tol)
+    return hull_membership(pi, points, tol), len(points)
 
 
 def check_mediated_eq(
@@ -314,13 +352,15 @@ def check_mediated_eq(
     Every supported conditional of every player must lie in the convex
     hull of its sampled acceptance region.  Membership verdicts are sound
     up to the region tolerance; non-membership is relative to the grid
-    resolution recorded in ``meta``.
+    resolution recorded in ``meta``, which also counts the region points
+    handed to hull LPs (``lp_points``).
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
     worst = np.inf
     worst_key = None
     hulls = {}
+    lp_points = 0
     for i in range(game.n):
         m = marginal(mu, i)
         res = resolution if resolution is not None else default_grid_resolution(game, i)
@@ -328,7 +368,8 @@ def check_mediated_eq(
             if m[a_i] <= 0.0:
                 continue
             pi = conditional(mu, i, a_i)
-            cert = _hull_check_one(game, i, a_i, pi, res, tol, region_cache)
+            cert, used = _hull_check_one(game, i, a_i, pi, res, tol, region_cache)
+            lp_points += used
             hulls[f"{i}:{a_i}"] = cert.witness
             if cert.margin < worst:
                 worst = cert.margin
@@ -348,7 +389,12 @@ def check_mediated_eq(
         member,
         worst,
         witness,
-        {"check": "mediated", "tol": tol, "resolution": resolution or "default"},
+        {
+            "check": "mediated",
+            "tol": tol,
+            "resolution": resolution or "default",
+            "lp_points": lp_points,
+        },
     )
 
 
@@ -373,6 +419,6 @@ def mediated_hull_distance(
             if m[a_i] <= 0.0:
                 continue
             pi = conditional(mu, i, a_i)
-            cert = _hull_check_one(game, i, a_i, pi, res, tol, region_cache)
+            cert, _ = _hull_check_one(game, i, a_i, pi, res, tol, region_cache)
             worst = max(worst, -cert.margin)
     return worst

@@ -22,8 +22,6 @@ diagnostic for within-block empirical balance.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,14 +283,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _probe_threads() -> int:
-    raw = os.environ.get("CPT_GAMES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def regret_tail_probe(
     row_strategy_factory,
     T_block: int,
@@ -316,20 +306,11 @@ def regret_tail_probe(
         raise ValueError(f"horizon {horizon} exceeds the configured bound {max_horizon}")
     game = counterexample_game()
 
-    def one(run_idx: int) -> float:
+    values = np.empty(n_runs)
+    for r in range(n_runs):
         strategies = [row_strategy_factory(), block_adversary(T_block)]
-        trace = run_engine(
-            game, strategies, horizon, seed + run_idx, checkpoints=False
-        )
-        return _bar_regret(game, trace, T_block, k)
-
-    threads = _probe_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            values = list(ex.map(one, range(n_runs)))
-    else:
-        values = [one(r) for r in range(n_runs)]
-    values = np.array(values)
+        trace = run_engine(game, strategies, horizon, seed + r, checkpoints=False)
+        values[r] = _bar_regret(game, trace, T_block, k)
     hits = int((values > eps_tilde).sum())
     lo, hi = wilson_interval(hits, n_runs)
     return {

@@ -89,6 +89,8 @@ class TestCheck:
         code = main(["check", "--game", files["game.json"], "--dist", files["mu_star.json"],
                      "--mode", "mediated", "--grid", "8"])
         assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["meta"]["lp_points"] > 0
 
     def test_nash_mode_rejects_correlated_dist(self, files, tmp_path, capsys):
         correlated = np.zeros((2, 4))

@@ -1,5 +1,6 @@
 """Equilibrium membership: regions, correlated, Nash, hulls, mediated."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cpt_games.cpt import cpt_value
 from cpt_games.equilibrium import (
+    _extreme_candidates,
     action_values,
     best_reaction,
     check_correlated_eq,
@@ -19,14 +21,17 @@ from cpt_games.equilibrium import (
     simplex_grid,
 )
 from conftest import pure_nash_profiles
-from cpt_games.harness import random_game
+from cpt_games.harness import random_distribution, random_game
+from cpt_games.simplex import hull_residual
 from cpt_games.scripted import counterexample_game
 from cpt_games.games import (
     Game,
     JointDistribution,
     OpponentDistribution,
     ProductDistribution,
+    conditional,
     induced_lottery,
+    marginal,
 )
 
 
@@ -141,6 +146,18 @@ class TestSimplexGrid:
         b = simplex_grid(3, 6)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "dim,res", [(1, 1), (1, 7), (2, 5), (3, 4), (3, 1), (4, 24), (8, 6)]
+    )
+    def test_equals_itertools_reference(self, dim, res):
+        # compositions from cut positions, in itertools' lexicographic order
+        rows = []
+        for cut in itertools.combinations(range(res + dim - 1), dim - 1):
+            edges = (-1,) + cut + (res + dim - 1,)
+            rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+        expected = np.array(rows, dtype=float).reshape(-1, dim) / float(res)
+        assert np.array_equal(simplex_grid(dim, res), expected)
+
 
 def regions_by_loop(game, i, resolution, tol=1e-9):
     """Reference: every action's region from one scalar evaluation per grid point."""
@@ -202,6 +219,149 @@ class TestSampleRegion:
         assert len(pts) == math.comb(4 + 2, 2)
 
 
+def reduction_games():
+    rng = np.random.default_rng(180408005)
+    return [
+        (counterexample_game(), 24),
+        (random_game(rng, (2, 2, 2)), 24),
+        (random_game(rng, (2, 2, 2)), 24),
+        (tied_random_game(3, (2, 3)), 12),
+        (tied_random_game(4, (3, 3)), 12),
+        (tied_random_game(5, (3, 3)), 9),
+    ]
+
+
+@pytest.fixture(scope="module")
+def reduced_regions():
+    """(game, resolution, player, action, full region, reduced region) tuples."""
+    out = []
+    for game, res in reduction_games():
+        for i in range(game.n):
+            for a in range(game.num_actions(i)):
+                full = sample_region(game, i, a, res)
+                out.append((game, res, i, a, full, _extreme_candidates(full, res)))
+    return out
+
+
+def lattice_set(points, res):
+    return {tuple(r) for r in np.rint(points * res).astype(int)}
+
+
+class TestExtremeCandidates:
+    def test_dropped_points_are_lattice_midpoints(self, reduced_regions):
+        for _, res, _, _, full, red in reduced_regions:
+            region = lattice_set(full, res)
+            kept = np.rint(red * res).astype(int)
+            # kept points are region points, in region order
+            index = {tuple(r): n for n, r in enumerate(np.rint(full * res).astype(int))}
+            order = [index[tuple(r)] for r in kept]
+            assert order == sorted(order)
+            d = full.shape[1]
+            for c in region - lattice_set(red, res):
+                found = False
+                for j, k in itertools.combinations(range(d), 2):
+                    up = list(c)
+                    up[j] += 1
+                    up[k] -= 1
+                    down = list(c)
+                    down[j] -= 1
+                    down[k] += 1
+                    if tuple(up) in region and tuple(down) in region:
+                        found = True
+                        break
+                assert found, c
+
+    def test_keeps_every_hull_vertex(self, reduced_regions):
+        from scipy.spatial import ConvexHull
+
+        checked = 0
+        for _, res, _, _, full, red in reduced_regions:
+            d = full.shape[1]
+            if len(full) <= d or np.linalg.matrix_rank(full[1:] - full[0]) < d - 1:
+                continue
+            flat = full[:, : d - 1]
+            if d == 2:
+                vertices = [int(np.argmin(flat)), int(np.argmax(flat))]
+            else:
+                vertices = ConvexHull(flat).vertices
+            assert lattice_set(full[vertices], res) <= lattice_set(red, res)
+            checked += 1
+        assert checked >= 20
+
+    def test_residuals_match_full_region(self, reduced_regions):
+        rng = np.random.default_rng(2018)
+        for *_, full, red in reduced_regions:
+            if len(full) == 0:
+                continue
+            for y in rng.dirichlet(np.ones(full.shape[1]), size=3):
+                assert hull_residual(red, y)[0] == pytest.approx(
+                    hull_residual(full, y)[0], abs=1e-9
+                )
+
+    def test_mediated_check_matches_unreduced_regions(self):
+        rng = np.random.default_rng(7)
+        tol = 1e-6
+        lp_checks = 0
+        for game, res in reduction_games():
+            for _ in range(3):
+                mu = random_distribution(rng, game.shape)
+                worst, lp_points = np.inf, 0
+                for i in range(game.n):
+                    m = marginal(mu, i)
+                    for a in range(game.num_actions(i)):
+                        if m[a] <= 0.0:
+                            continue
+                        pi = conditional(mu, i, a)
+                        values = action_values(game, i, pi)
+                        if values[a] - values.max() >= -tol:
+                            worst = min(worst, 0.0)
+                            continue
+                        full = sample_region(game, i, a, res, tol)
+                        cert = hull_membership(pi, full, tol)
+                        red = _extreme_candidates(full, res)
+                        if len(full):
+                            residual = hull_residual(red, pi.flat())[0]
+                            assert residual == pytest.approx(-cert.margin, abs=1e-9)
+                            lp_checks += 1
+                        worst = min(worst, cert.margin)
+                        lp_points += len(red)
+                got = check_mediated_eq(game, mu, resolution=res, tol=tol)
+                assert got.member == (worst >= -tol)
+                assert got.margin == pytest.approx(worst, abs=1e-9)
+                assert got.meta["lp_points"] == lp_points
+        assert lp_checks >= 10
+
+    def test_small_inputs_unchanged(self):
+        for points, res in [
+            (np.empty((0, 3)), 4),
+            (np.array([[0.25, 0.25, 0.5]]), 4),
+            (np.array([[0.5, 0.5], [0.25, 0.75]]), 4),
+            (simplex_grid(1, 5), 5),
+        ]:
+            out = _extreme_candidates(points, res)
+            assert out.shape == points.shape
+            assert np.array_equal(out, points)
+
+    @pytest.mark.parametrize("dim,res", [(2, 24), (4, 24), (8, 6), (41, 2)])
+    def test_full_grid_keeps_only_vertices(self, dim, res):
+        # (41, 2): mixed-radix keys exceed int64 and are Python integers
+        out = _extreme_candidates(simplex_grid(dim, res), res)
+        assert lattice_set(out, res) == {tuple(res * e) for e in np.eye(dim, dtype=int)}
+
+    def test_witnesses_repeat(self, game, mu_star):
+        first = check_mediated_eq(game, mu_star, resolution=24)
+        cache: dict = {}
+        again = [
+            check_mediated_eq(game, mu_star, resolution=24, region_cache=cache)
+            for _ in range(2)
+        ]
+        assert first.member
+        for cert in again:
+            assert cert.to_dict() == first.to_dict()
+        region = lattice_set(sample_region(game, 0, 0, 24, 1e-6), 24)
+        assert lattice_set(np.array(first.witness["per_action"]["0:0"]["points"]), 24) <= region
+
+
 class TestHullMembership:
     def test_midpoint(self, mu_odd, mu_even, mu_unif):
         cert = hull_membership(np.asarray(mu_unif), np.array([mu_odd, mu_even]))
@@ -249,6 +409,23 @@ class TestMediated:
         for m in (2, 4, 8):
             assert check_mediated_eq(game, mu_star, resolution=m).member
             assert check_mediated_eq(game, mu_star, resolution=2 * m).member
+
+    def test_meta_counts_lp_points(self, game, mu_star, mu_o):
+        cert = check_mediated_eq(game, mu_star, resolution=8)
+        expected = 0
+        for i in range(game.n):
+            m = marginal(mu_star, i)
+            for a in range(game.num_actions(i)):
+                if m[a] <= 0.0:
+                    continue
+                values = action_values(game, i, conditional(mu_star, i, a))
+                if values[a] - values.max() < -1e-6:
+                    region = sample_region(game, i, a, 8, 1e-6)
+                    expected += len(_extreme_candidates(region, 8))
+        assert expected > 0
+        assert cert.meta["lp_points"] == expected
+        # every conditional of the odd cycle passes the exact region test
+        assert check_mediated_eq(game, mu_o, resolution=8).meta["lp_points"] == 0
 
     def test_hull_distance_zero_for_members(self, game, mu_star, mu_o):
         assert mediated_hull_distance(game, mu_star, resolution=8) == 0.0

@@ -144,11 +144,3 @@ class TestDiagnostics:
         lo2, hi2 = wilson_interval(100, 200)
         assert hi2 - lo2 < hi1 - lo1
         assert lo2 <= 0.5 <= hi2
-
-
-class TestThreadFanout:
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        seq = regret_tail_probe(probe_strategy_family("always-top"), 5, 1, 30, 55)
-        monkeypatch.setenv("CPT_GAMES_THREADS", "2")
-        par = regret_tail_probe(probe_strategy_family("always-top"), 5, 1, 30, 55)
-        assert seq == par
