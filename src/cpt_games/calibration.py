@@ -114,11 +114,13 @@ class CalibratedForecaster:
     regrets all went non-positive) is absorbing up to the restart, so its
     column of the balance matrix is the restart rate times a unit vector
     and the system is block-triangular: the points whose rows have been
-    positive at some step are solved on their own block, which ``observe``
-    keeps as a copy of their positive regrets, and every other point
-    follows from them in closed form.  Forecasters issue a new grid point
-    nearly every step, so the block grows with the step count rather than
-    with the grid.  Larger grids use warm-started power iteration.
+    positive at some step are solved on their own block, and every other
+    point follows from them in closed form.  The positive regrets are kept
+    in slot order, with those points in the leading slots in the order
+    they went live, so the block is a leading slice of the kept matrix.
+    Forecasters issue a new grid point nearly every step, so the block
+    grows with the step count rather than with the grid.  Larger grids use
+    warm-started power iteration.
     """
 
     def __init__(self, n_outcomes: int, epsilon: float):
@@ -133,7 +135,9 @@ class CalibratedForecaster:
         sq = (self.grid**2).sum(axis=1)
         self.loss = sq[:, None] + 1.0 - 2.0 * self.grid
         self._regret = np.zeros((q, q))
-        # positive part of _regret and its row sums, kept up to date by observe
+        # positive part of _regret and its row sums in slot order, kept up to
+        # date by observe: slot r holds grid point _point[r], _slot[k] is the
+        # slot of grid point k
         self._pos = np.zeros((q, q))
         self._rows = np.zeros(q)
         self._play = np.full(q, 1.0 / q)
@@ -141,17 +145,15 @@ class CalibratedForecaster:
         if q <= _DENSE_MAX:
             self._rhs = np.full(q, _DELTA / q)
             self._abuf = np.empty(q * q)
-            self._block = np.empty((q, q))
-        self._reset_block()
+        self._reset_slots()
 
-    def _reset_block(self) -> None:
-        # grid points in the order their regret rows first turned positive:
-        # _block[r, s] = _pos[_order[r], _order[s]] for r, s < _m.  Once all
-        # q points are in, the solve reads _pos itself; large grids keep no
-        # block and start there.
+    def _reset_slots(self) -> None:
+        # points whose rows have been positive hold slots [0, _m) in the
+        # order they went live; large grids never reorder and start with
+        # every point live
         q = self._rows.size
-        self._order = np.arange(q)
-        self._rank = np.arange(q)
+        self._point = np.arange(q)
+        self._slot = np.arange(q)
         self._m = 0 if q <= _DENSE_MAX else q
 
     def reset(self) -> None:
@@ -160,7 +162,20 @@ class CalibratedForecaster:
         self._rows.fill(0.0)
         self._play.fill(1.0 / self._play.size)
         self._last = None
-        self._reset_block()
+        self._reset_slots()
+
+    def _go_live(self, r: int) -> int:
+        """Swap slot r into slot ``_m`` and make it live; returns its new slot."""
+        m = self._m
+        pos = self._pos
+        pos[[r, m]] = pos[[m, r]]
+        pos[:, [r, m]] = pos[:, [m, r]]
+        self._rows[[r, m]] = self._rows[[m, r]]
+        k, other = self._point[r], self._point[m]
+        self._point[r], self._point[m] = other, k
+        self._slot[k], self._slot[other] = m, r
+        self._m = m + 1
+        return m
 
     def _invariant_play(self) -> np.ndarray:
         pos = self._pos
@@ -174,33 +189,28 @@ class CalibratedForecaster:
             # regrets, restarted uniformly with probability delta, has a
             # unique invariant vector and a provably nonsingular system
             #   A p = delta / q,  A = (I - (1-delta) P)^T
-            # with P = pos/kappa + diag(1 - rows/kappa).  A point j with
-            # rows[j] == 0 has column delta * e_j in A, so the block B of
-            # points ever live (a superset of the live ones) solves alone,
-            # and row j of the system gives, for j outside B,
-            #   p_j = 1/q + (scale/delta) * sum_{i in B} pos[i, j] p_i.
+            # with P = pos/kappa + diag(1 - rows/kappa), in slot order.  A
+            # slot j with rows[j] == 0 has column delta * e_j in A, so the
+            # slots r < m of points ever live (a superset of the live ones)
+            # solve alone, and row j of the system gives, for j >= m,
+            #   p_j = 1/q + (scale/delta) * sum_{i < m} pos[i, j] p_i.
             delta = _DELTA
             scale = (1.0 - delta) / kappa
             m = self._m
-            if m == q:
-                src, block = pos, slice(None)
-            else:
-                src, block = self._block[:m, :m], self._order[:m]
-            # a.T is A restricted to the block, in block order
+            # a.T is A restricted to the live slots
             a = self._abuf[: m * m].reshape(m, m)
-            np.multiply(src, -scale, out=a)
+            np.multiply(pos[:m, :m], -scale, out=a)
             diag = self._abuf[: m * m : m + 1]
-            np.multiply(rows[block], scale, out=diag)
+            np.multiply(rows[:m], scale, out=diag)
             diag += delta
             p = np.linalg.solve(a.T, self._rhs[:m])
             if m < q:
-                x = np.zeros(q)
-                x[block] = p
-                full = x @ pos
+                full = p @ pos[:m]
                 full *= scale / delta
                 full += 1.0 / q
-                full[block] = p
+                full[:m] = p
                 p = full
+            p = p[self._slot]
             lo = p.min()
             s = p.sum()
             # a NaN entry fails the min test, an infinite one the sum test
@@ -210,10 +220,10 @@ class CalibratedForecaster:
                     s = p.sum()
                 p /= s
                 return p
-        # fall back to power iteration on the lazy chain
+        # fall back to power iteration on the lazy chain, in slot order
         M = pos * (0.5 / kappa)
         diag = 1.0 - rows * (0.5 / kappa)
-        p = self._play
+        p = self._play[self._point]
         for _ in range(200):
             nxt = p @ M + p * diag
             if np.abs(nxt - p).sum() <= 1e-11:
@@ -221,13 +231,13 @@ class CalibratedForecaster:
                 break
             p = nxt
         p = np.maximum(p, 0.0)
-        return p / p.sum()
+        return (p / p.sum())[self._slot]
 
     def predict(self, rng: np.random.Generator) -> int:
         """Sample the next forecast; returns its grid index."""
         p = self._invariant_play()
         self._play = p
-        k = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+        k = int(p.cumsum().searchsorted(rng.random(), side="right"))
         self._last = min(k, p.size - 1)
         return self._last
 
@@ -241,26 +251,11 @@ class CalibratedForecaster:
         k = self._last
         row = self._regret[k]
         row += self.loss[k, outcome] - self.loss[:, outcome]
-        pos_k = self._pos[k]
-        np.maximum(row, 0.0, out=pos_k)
-        self._rows[k] = pos_k.sum()
-        if self._m < self._rows.size:
-            self._update_block(k)
+        pos_k = np.maximum(row, 0.0)
+        total = pos_k.sum()
+        r = self._slot[k]
+        if r >= self._m and total > 0.0:
+            r = self._go_live(r)
+        self._rows[r] = total
+        self._pos[r] = pos_k[self._point]
         self._last = None
-
-    def _update_block(self, k: int) -> None:
-        """Copy row k of ``_pos`` into the block, adding k if it just went live."""
-        m = self._m
-        r = self._rank[k]
-        if r >= m:
-            if self._rows[k] == 0.0:
-                return
-            other = self._order[m]
-            self._order[m], self._order[r] = k, other
-            self._rank[k], self._rank[other] = m, r
-            r = m
-            m = self._m = m + 1
-            if m == self._rows.size:
-                return
-            self._block[:m, r] = self._pos[self._order[:m], k]
-        self._block[r, :m] = self._pos[k, self._order[:m]]

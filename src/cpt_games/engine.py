@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibratedForecaster, ForecastRecord, calibration_score
-from .cpt import RegretTriples, cpt_regret
+from .cpt import Lottery, cpt_value
 from .equilibrium import best_reaction
 from .games import Game, JointDistribution, OpponentDistribution
 
@@ -296,26 +296,22 @@ def regret_matrix_from_counts(
     """CPT regret matrix of player i from integer profile counts at step t.
 
     Entry (a, d) scales the regret functional of swapping a for d, under
-    the empirical conditional given a, by the empirical frequency of a.
-    Rows of never-played actions are zero.
+    the empirical conditional given a, by the empirical frequency of a: the
+    CPT value of d's outcomes minus that of a's, each action valued once
+    per played a.  Rows of never-played actions are zero.
     """
     k = game.num_actions(i)
     out = np.zeros((k, k))
     axes = tuple(j for j in range(game.n) if j != i)
     row_counts = counts.sum(axis=axes) if axes else counts
+    outcomes = [np.take(game.payoffs[i], d, axis=i).ravel() for d in range(k)]
     for a in range(k):
         c_a = row_counts[a]
         if c_a == 0:
             continue
         cond = np.take(counts, a, axis=i).ravel() / float(c_a)
-        realized = np.take(game.payoffs[i], a, axis=i).ravel()
-        freq = c_a / float(t)
-        for d in range(k):
-            if d == a:
-                continue
-            counterfactual = np.take(game.payoffs[i], d, axis=i).ravel()
-            reg = cpt_regret(RegretTriples(cond, counterfactual, realized), game.prefs[i])
-            out[a, d] = freq * reg
+        v = np.array([cpt_value(Lottery(cond, z), game.prefs[i]) for z in outcomes])
+        out[a] = (c_a / float(t)) * (v - v[a])
     return out
 
 

@@ -322,15 +322,15 @@ def _hull_check_one(
     """Hull membership of one conditional against its acceptance region.
 
     The region is cut to its candidate extreme points once, before it is
-    cached.  Returns the certificate and the number of region points handed
-    to the hull LP.
+    cached under (player, action, resolution, tolerance).  Returns the
+    certificate and the number of region points handed to the hull LP.
     """
     # a conditional that passes the exact region test certifies itself
     if _region_margin(game, i, a_i, pi) >= -tol:
         return Certificate(
             True, 0.0, {"kind": "hull", "theta": [1.0], "points": [pi.flat().tolist()]}
         ), 0
-    key = (i, a_i)
+    key = (i, a_i, resolution, tol)
     if region_cache is not None and key in region_cache:
         points = region_cache[key]
     else:

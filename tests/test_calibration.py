@@ -1,5 +1,6 @@
 """Calibration scores and the grid forecaster."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -211,10 +212,10 @@ class TestInvariantPlay:
         # positive regret: each alternative's total loss is at least its own
         k = int(np.argmin((fc.grid**2).sum(axis=1)))
         issue(fc, k, 0)
-        assert fc._rows[k] > 0.0
+        assert fc._rows[fc._slot[k]] > 0.0
         for y in range(1, n_outcomes):
             issue(fc, k, y)
-        assert fc._rows[k] == 0.0 and fc._regret[k].min() < 0.0
+        assert fc._rows[fc._slot[k]] == 0.0 and fc._regret[k].min() < 0.0
         assert_matches_dense(fc)
 
     @pytest.mark.parametrize(
@@ -239,6 +240,46 @@ class TestInvariantPlay:
             if new.grid.shape[0] > 320:
                 assert np.array_equal(new._play, ref._play)
 
+    @pytest.mark.parametrize(
+        "n_outcomes,epsilon,steps,seed,digest",
+        [
+            (2, 0.1, 3000, 0, "e3d9a9086165f3f850433c82ba994eb0ff181f4d3053ee877d8772eeb5a2bca2"),
+            (2, 0.1, 3000, 1, "d437bb2a54e5720f9fb1243ef6d665a79a82c1e66da1f8db7f2200159cb6802d"),
+            (3, 0.1, 600, 0, "f71db5d072ee797687e3f28b3e896527eeba662ac9e25bb9b007540e6e1b587d"),
+            (3, 0.1, 600, 1, "f09e3bac03fcd529d59bdae4534743e501ab833d8b6911dcf1ef1309f97671bf"),
+            (4, 0.1, 200, 0, "8999102ba51116a052b3b9a8f332f892f7fdb27477aadf1d3be38432c5d05fbc"),
+            (4, 0.1, 200, 1, "399438935c34be995ce3ee483915299e42977039365a9a40af7d030338456724"),
+            (5, 0.125, 12, 0, "30533a20eea5eb4ad42c436423064d945aae429e2db82e914988eea48c52d1d2"),
+            (5, 0.125, 12, 1, "104d7099ee9e14b93635869e7625267cd64e654389e93826bdb440936d72d9ba"),
+        ],
+    )
+    def test_forecast_sequences_are_pinned(self, n_outcomes, epsilon, steps, seed, digest):
+        # sha256 of the little-endian int64 forecast indices drawn in the
+        # settings of test_forecasts_match_dense_reference, so a change to
+        # any forecast fails here
+        fc = CalibratedForecaster(n_outcomes, epsilon)
+        rng = np.random.default_rng(seed)
+        nature = np.random.default_rng([seed, 1])
+        weights = nature.dirichlet(np.ones(n_outcomes))
+        ks = []
+        for _ in range(steps):
+            ks.append(fc.predict(rng))
+            fc.observe(int(nature.choice(n_outcomes, p=weights)))
+        assert hashlib.sha256(np.asarray(ks, dtype="<i8").tobytes()).hexdigest() == digest
+
+    def test_power_iteration_fallback_matches_dense(self, monkeypatch):
+        # a failed direct solve falls back to power iteration, which runs in
+        # slot order from the last play and returns the play in grid order
+        fc = CalibratedForecaster(3, 0.1)
+        q = fc.grid.shape[0]
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            issue(fc, int(rng.integers(q)), int(rng.integers(3)))
+        assert 0 < fc._m < q and not np.array_equal(fc._point, np.arange(q))
+        fc._play = rng.dirichlet(np.ones(q))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
+        assert_matches_dense(fc)
+
     @pytest.mark.parametrize("n_outcomes,epsilon", [(2, 0.1), (3, 0.1), (4, 0.1), (5, 0.125)])
     def test_kept_positive_part_is_exact(self, n_outcomes, epsilon):
         fc = CalibratedForecaster(n_outcomes, epsilon)
@@ -249,14 +290,12 @@ class TestInvariantPlay:
                 issue(fc, int(rng.integers(q)), int(rng.integers(n_outcomes)))
                 if step % 50 == 0 or step == 399:
                     pos = np.maximum(fc._regret, 0.0)
-                    assert np.array_equal(fc._pos, pos)
-                    assert np.array_equal(fc._rows, pos.sum(axis=1))
-                    m = fc._m
-                    if m < q:
-                        block = fc._order[:m]
-                        assert np.array_equal(fc._block[:m, :m], pos[np.ix_(block, block)])
-                        # every live point is in the block
-                        assert np.all(pos[fc._order[m:]] == 0.0)
+                    slots = fc._point
+                    assert np.array_equal(fc._pos, pos[np.ix_(slots, slots)])
+                    assert np.array_equal(fc._rows, pos.sum(axis=1)[slots])
+                    assert np.array_equal(fc._slot[slots], np.arange(q))
+                    # every live point is in the block
+                    assert np.all(pos[slots[fc._m :]] == 0.0)
             fc.reset()
             assert not fc._regret.any() and not fc._pos.any() and not fc._rows.any()
             assert fc._m == (0 if q <= 320 else q)

@@ -10,12 +10,18 @@ from cpt_games.engine import (
     ForecastingBestReaction,
     cpt_regret_matrix,
     max_calibration_score,
+    regret_matrix_from_counts,
     run_engine,
 )
+from cpt_games.cpt import RegretTriples, cpt_regret
 from cpt_games.games import Game, conditional, marginal
 from cpt_games.equilibrium import region_membership
 from cpt_games.harness import random_game
-from cpt_games.scripted import counterexample_game, _alternating_assessment_2p
+from cpt_games.scripted import (
+    _alternating_assessment_2p,
+    counterexample_game,
+    counterexample_game_3p,
+)
 
 
 def eut_regret_direct(game, i, actions, t, a, d):
@@ -84,6 +90,24 @@ class TestRunEngine:
                 ).max() < 1e-12
 
 
+def regret_matrix_by_pairs(game, i, counts, t):
+    """Reference: one ``cpt_regret`` call for every swap (a, d) of a played a."""
+    k = game.num_actions(i)
+    out = np.zeros((k, k))
+    for a in range(k):
+        slab = np.take(counts, a, axis=i).ravel()
+        if slab.sum() == 0:
+            continue
+        cond = slab / float(slab.sum())
+        realized = np.take(game.payoffs[i], a, axis=i).ravel()
+        for d in range(k):
+            if d != a:
+                counterfactual = np.take(game.payoffs[i], d, axis=i).ravel()
+                reg = cpt_regret(RegretTriples(cond, counterfactual, realized), game.prefs[i])
+                out[a, d] = slab.sum() / float(t) * reg
+    return out
+
+
 class TestRegretMatrix:
     def test_eut_mode_equals_direct_average(self):
         rng = np.random.default_rng(19)
@@ -101,6 +125,26 @@ class TestRegretMatrix:
                             continue
                         direct = eut_regret_direct(g, i, trace.actions, 100, a, d)
                         assert K[a, d] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["2p", "3p", "random-3p"])
+    def test_equals_per_pair_regret_loop(self, which):
+        rng = np.random.default_rng(53)
+        if which == "2p":
+            g = counterexample_game()
+        elif which == "3p":
+            g = counterexample_game_3p()
+        else:
+            g = random_game(rng, (2, 3, 2))
+        # the last action of player 0 is never played
+        mixes = [rng.dirichlet(np.ones(s)) for s in g.shape]
+        mixes[0][-1] = 0.0
+        mixes[0] /= mixes[0].sum()
+        trace = run_engine(g, [FixedMixStrategy(m) for m in mixes], 300, 7)
+        for t in (1, 5, 64, 300):
+            counts = trace.counts(t)
+            for i in range(g.n):
+                got = regret_matrix_from_counts(g, i, counts, t)
+                assert np.array_equal(got, regret_matrix_by_pairs(g, i, counts, t))
 
     def test_never_played_row_is_zero(self):
         g = counterexample_game()

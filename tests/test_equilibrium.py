@@ -427,6 +427,17 @@ class TestMediated:
         # every conditional of the odd cycle passes the exact region test
         assert check_mediated_eq(game, mu_o, resolution=8).meta["lp_points"] == 0
 
+    def test_region_cache_shared_across_resolutions_and_tolerances(self, game):
+        # one cache serving several grids keeps each grid's regions apart
+        rng = np.random.default_rng(3)
+        cache: dict = {}
+        for _ in range(8):
+            mu = random_distribution(rng, (2, 4))
+            for res, tol in [(2, 1e-6), (24, 1e-6), (24, 1e-3), (2, 1e-3)]:
+                shared = check_mediated_eq(game, mu, resolution=res, tol=tol, region_cache=cache)
+                fresh = check_mediated_eq(game, mu, resolution=res, tol=tol)
+                assert shared.to_dict() == fresh.to_dict()
+
     def test_hull_distance_zero_for_members(self, game, mu_star, mu_o):
         assert mediated_hull_distance(game, mu_star, resolution=8) == 0.0
         assert mediated_hull_distance(game, mu_o, resolution=8) == 0.0
