@@ -241,9 +241,6 @@ class CalibratedForecaster:
         self._last = min(k, p.size - 1)
         return self._last
 
-    def forecast_vector(self, k: int) -> np.ndarray:
-        return self.grid[k]
-
     def observe(self, outcome: int) -> None:
         """Charge the checking loss of the last forecast against outcome."""
         if self._last is None:

@@ -6,8 +6,9 @@
     cpt-games replay --game MEDIATED --steps T [--out DIR]
 
 Exit codes: check returns 0 for member, 1 for non-member, 3 for shape
-mismatches, 2 for other errors; simulate returns 4 for unknown scenarios;
-replay returns 5 on an assessment collision.
+mismatches, 2 for other errors; simulate returns 4 for unknown scenarios
+and 2 for invalid config values; replay returns 5 on an assessment
+collision.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def cmd_simulate(args) -> int:
         summary = run_scenario(config)
     except KeyError as e:
         return _fail(f"unknown scenario: {e}", 4)
+    except ValueError as e:
+        return _fail(str(e), 2)
     print(json.dumps(summary, indent=2, sort_keys=True, default=float))
     return 0
 

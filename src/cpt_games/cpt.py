@@ -39,6 +39,7 @@ __all__ = [
     "rank_outcomes",
     "decision_weights",
     "cpt_value",
+    "row_values",
     "cpt_values",
     "cpt_regret",
     "preferences_to_dict",
@@ -81,6 +82,9 @@ class WeightingFunction:
                 raise ValueError("tabulated weighting endpoints must be (0,0) and (1,1)")
             if np.any(np.diff(ps) <= 0) or np.any(np.diff(ws) <= 0):
                 raise ValueError("tabulated weighting must be strictly increasing")
+            # kept outside the dataclass fields: ``grid`` alone is compared
+            object.__setattr__(self, "_ps", ps)
+            object.__setattr__(self, "_ws", ws)
             return
         raise ValueError(f"unknown weighting kind {self.kind!r}")
 
@@ -95,9 +99,7 @@ class WeightingFunction:
             out[inner] = np.exp(-((-np.log(arr[inner])) ** self.gamma))
             out[arr == 1.0] = 1.0
         else:
-            ps = np.array([q for q, _ in self.grid])
-            ws = np.array([w for _, w in self.grid])
-            out = np.interp(arr, ps, ws)
+            out = np.interp(arr, self._ps, self._ws)
         return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
@@ -225,7 +227,8 @@ def eut_preferences(reference: float = 0.0) -> CptPreferences:
 # ---------------------------------------------------------------------------
 
 
-def _as_probabilities(probs, label: str) -> np.ndarray:
+def _as_probabilities(probs, label: str) -> tuple[np.ndarray, float]:
+    """Validated, clipped copy of a probability vector and its exact sum."""
     p = np.asarray(probs, dtype=float).copy()
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{label} must be a nonempty 1-d vector")
@@ -240,7 +243,7 @@ def _as_probabilities(probs, label: str) -> np.ndarray:
     s = math.fsum(p)
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{label} must sum to 1 (got {s!r})")
-    return p
+    return p, s
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,7 @@ class Lottery:
     outcomes: np.ndarray
 
     def __init__(self, probs, outcomes):
-        p = _as_probabilities(probs, "lottery probabilities")
+        p, _ = _as_probabilities(probs, "lottery probabilities")
         z = np.asarray(outcomes, dtype=float)
         if z.shape != p.shape:
             raise ValueError("probabilities and outcomes must have equal length")
@@ -285,7 +288,7 @@ class RegretTriples:
     realized: np.ndarray
 
     def __init__(self, probs, counterfactual, realized):
-        p = _as_probabilities(probs, "regret probabilities")
+        p, _ = _as_probabilities(probs, "regret probabilities")
         zc = np.asarray(counterfactual, dtype=float)
         zr = np.asarray(realized, dtype=float)
         if zc.shape != p.shape or zr.shape != p.shape:
@@ -343,22 +346,13 @@ def _block_cumulative(p: np.ndarray, z: np.ndarray, total: float) -> np.ndarray:
     return np.clip(cum / total, 0.0, 1.0)
 
 
-def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarray, int]:
-    """Rank-dependent decision weights along the best-to-worst ordering.
-
-    Returns ``(pi, split)`` where ``pi[j]`` weights the j-th best outcome and
-    ``split`` is the number of gain entries (outcomes >= reference count as
-    gains).  Gains take differences of the gain-weighted cumulative from the
-    top; losses take differences of the loss-weighted cumulative from the
-    bottom.  With identity weighting the weights are exactly the sorted
-    probabilities.
-    """
-    order = rank_outcomes(lottery)
-    p = lottery.probs[order]
-    z = lottery.outcomes[order]
+def _ranked_weights(
+    p: np.ndarray, z: np.ndarray, total: float, prefs: CptPreferences
+) -> tuple[np.ndarray, int]:
+    """``decision_weights`` of outcomes ``z`` sorted best to worst, with their
+    probabilities ``p`` in the same order and exactly rounded mass ``total``."""
     split = int(np.count_nonzero(z >= prefs.reference))
     t = p.size
-    total = math.fsum(p)
     pi = np.empty(t, dtype=float)
 
     if split > 0:
@@ -381,12 +375,44 @@ def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarra
     return pi, split
 
 
+def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarray, int]:
+    """Rank-dependent decision weights along the best-to-worst ordering.
+
+    Returns ``(pi, split)`` where ``pi[j]`` weights the j-th best outcome and
+    ``split`` is the number of gain entries (outcomes >= reference count as
+    gains).  Gains take differences of the gain-weighted cumulative from the
+    top; losses take differences of the loss-weighted cumulative from the
+    bottom.  With identity weighting the weights are exactly the sorted
+    probabilities.
+    """
+    order = rank_outcomes(lottery)
+    p = lottery.probs[order]
+    return _ranked_weights(p, lottery.outcomes[order], math.fsum(p), prefs)
+
+
+def row_values(probs, outcome_rows, prefs: CptPreferences) -> np.ndarray:
+    """CPT values of the k lotteries paying row r of ``outcome_rows`` (k, d)
+    with the d ``probs``, such as a player's actions against one opponent mix.
+
+    Each row is ranked once and valued exactly as a lone lottery; every
+    single-point valuation goes through here.
+    """
+    p, total = _as_probabilities(probs, "lottery probabilities")
+    rows = np.asarray(outcome_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != p.size or not np.all(np.isfinite(rows)):
+        raise ValueError("outcome rows must be a finite (k, d) matrix over d probabilities")
+    out = np.empty(len(rows))
+    for r, z in enumerate(rows):
+        order = np.argsort(-z, kind="stable")
+        ranked = z[order]
+        pi, _ = _ranked_weights(p[order], ranked, total, prefs)
+        out[r] = np.dot(pi, prefs.value(ranked))
+    return out
+
+
 def cpt_value(lottery: Lottery, prefs: CptPreferences) -> float:
     """CPT value of a lottery: decision weights times outcome values."""
-    order = rank_outcomes(lottery)
-    pi, _ = decision_weights(lottery, prefs)
-    values = prefs.value(lottery.outcomes[order])
-    return float(np.dot(pi, values))
+    return float(row_values(lottery.probs, lottery.outcomes[None, :], prefs)[0])
 
 
 def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:
@@ -444,9 +470,10 @@ def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:
 
 def cpt_regret(triples: RegretTriples, prefs: CptPreferences) -> float:
     """CPT value of the counterfactual lottery minus that of the realized one."""
-    hypothetical = cpt_value(Lottery(triples.probs, triples.counterfactual), prefs)
-    actual = cpt_value(Lottery(triples.probs, triples.realized), prefs)
-    return hypothetical - actual
+    hypothetical, actual = row_values(
+        triples.probs, np.stack((triples.counterfactual, triples.realized)), prefs
+    )
+    return float(hypothetical - actual)
 
 
 # ---------------------------------------------------------------------------

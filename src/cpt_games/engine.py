@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibratedForecaster, ForecastRecord, calibration_score
-from .cpt import Lottery, cpt_value
+from .cpt import row_values
 from .equilibrium import best_reaction
-from .games import Game, JointDistribution, OpponentDistribution
+from .games import Game, JointDistribution, OpponentDistribution, player_rows
 
 __all__ = [
     "Strategy",
@@ -300,17 +300,13 @@ def regret_matrix_from_counts(
     CPT value of d's outcomes minus that of a's, each action valued once
     per played a.  Rows of never-played actions are zero.
     """
-    k = game.num_actions(i)
-    out = np.zeros((k, k))
-    axes = tuple(j for j in range(game.n) if j != i)
-    row_counts = counts.sum(axis=axes) if axes else counts
-    outcomes = [np.take(game.payoffs[i], d, axis=i).ravel() for d in range(k)]
-    for a in range(k):
-        c_a = row_counts[a]
+    slabs = player_rows(counts, i)
+    outcomes = player_rows(game.payoffs[i], i)
+    out = np.zeros((len(slabs), len(slabs)))
+    for a, (slab, c_a) in enumerate(zip(slabs, slabs.sum(axis=1))):
         if c_a == 0:
             continue
-        cond = np.take(counts, a, axis=i).ravel() / float(c_a)
-        v = np.array([cpt_value(Lottery(cond, z), game.prefs[i]) for z in outcomes])
+        v = row_values(slab / float(c_a), outcomes, game.prefs[i])
         out[a] = (c_a / float(t)) * (v - v[a])
     return out
 

@@ -26,6 +26,7 @@ __all__ = [
     "marginal",
     "conditional",
     "induced_lottery",
+    "player_rows",
     "empirical_update",
     "product_join",
 ]
@@ -224,12 +225,21 @@ def conditional(mu: JointDistribution, i: int, a_i: int) -> OpponentDistribution
     return OpponentDistribution(i, slice_ / m[a_i])
 
 
+def player_rows(tensor, i: int) -> np.ndarray:
+    """Player i's (|A_i|, d) matrix of a tensor with one axis per player.
+
+    Row a lists the entries where i plays a in ``OpponentDistribution.flat``
+    order; ``player_rows(game.payoffs[i], i)`` is i's outcome matrix.
+    """
+    t = np.asarray(tensor)
+    return np.moveaxis(t, i, 0).reshape(t.shape[i], -1)
+
+
 def induced_lottery(game: Game, i: int, pi: OpponentDistribution, a_i: int) -> Lottery:
     """Lottery player i faces playing ``a_i`` against opponent mix ``pi``."""
     if pi.player != i:
         raise ValueError("opponent distribution belongs to a different player")
-    outcomes = np.take(game.payoffs[i], a_i, axis=i).ravel()
-    return Lottery(pi.flat(), outcomes)
+    return Lottery(pi.flat(), player_rows(game.payoffs[i], i)[a_i])
 
 
 def empirical_update(

@@ -40,6 +40,8 @@ __all__ = [
     "canonical_replay_instance",
 ]
 
+PAYOFF_SCALE = 1.0  # random games draw payoffs uniformly from [-PAYOFF_SCALE, PAYOFF_SCALE]
+
 
 @dataclass
 class RunConfig:
@@ -86,11 +88,10 @@ def random_game(
     rng: np.random.Generator,
     sizes: tuple[int, ...],
     eut: bool = False,
-    payoff_scale: float = 1.0,
 ) -> Game:
-    """Random payoffs in [-scale, scale] with random CPT (or EUT) preferences."""
+    """Random payoffs in [-1, 1] with random CPT (or EUT) preferences."""
     n = len(sizes)
-    payoffs = rng.uniform(-payoff_scale, payoff_scale, size=(n,) + tuple(sizes))
+    payoffs = rng.uniform(-PAYOFF_SCALE, PAYOFF_SCALE, size=(n,) + tuple(sizes))
     actions = [tuple(str(k) for k in range(s)) for s in sizes]
     prefs = tuple(random_preferences(rng, eut=eut) for _ in range(n))
     return Game(actions, payoffs, prefs)

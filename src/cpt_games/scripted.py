@@ -66,6 +66,8 @@ UNIFORM_MIX = np.array([0.25, 0.25, 0.25, 0.25])
 
 COLUMN_LABELS = ("I", "II", "III", "IV")
 
+MAX_PROBE_HORIZON = 10_000_000  # longest tail-probe run, 2 * T_block ** (k + 1) steps
+
 
 def counterexample_game(gamma_row: float = 0.5, gamma_col: float = 1.0) -> Game:
     """Two-player 2x4 game with a nonconvex correlated-equilibrium set."""
@@ -290,7 +292,6 @@ def regret_tail_probe(
     n_runs: int,
     seed: int,
     eps_tilde: float = 0.004,
-    max_horizon: int = 10_000_000,
 ) -> dict:
     """Monte-Carlo frequency of a large block-regret tail event.
 
@@ -301,9 +302,11 @@ def regret_tail_probe(
     The probe tests named strategy families only; no finite experiment can
     quantify over all strategies, and the report says so.
     """
+    if n_runs < 1:
+        raise ValueError("the tail probe needs n_runs >= 1")
     horizon = 2 * T_block ** (k + 1)
-    if horizon > max_horizon:
-        raise ValueError(f"horizon {horizon} exceeds the configured bound {max_horizon}")
+    if horizon > MAX_PROBE_HORIZON:
+        raise ValueError(f"horizon {horizon} exceeds the bound {MAX_PROBE_HORIZON}")
     game = counterexample_game()
 
     values = np.empty(n_runs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 EPS = 1e-11
+MAX_ITER = 20000  # pivots per phase before a solve gives up
 
 __all__ = ["solve_standard_lp", "hull_residual"]
 
@@ -23,9 +24,9 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> str:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> str:
     """Iterate to optimality on the reduced tableau (objective in last row)."""
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         obj = tableau[-1, :ncols]
         eligible = np.flatnonzero(obj < -EPS)
         if eligible.size == 0:
@@ -46,7 +47,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: i
 
 
 def solve_standard_lp(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, max_iter: int = 20000
+    c: np.ndarray, A: np.ndarray, b: np.ndarray
 ) -> tuple[str, np.ndarray, float]:
     """Two-phase simplex for min c.x s.t. A x = b, x >= 0.
 
@@ -68,7 +69,7 @@ def solve_standard_lp(
     basis = np.arange(n, n + m)
     T[-1, :] = -T[:m, :].sum(axis=0)  # reduced phase-1 objective
     T[-1, n : n + m] = 0.0
-    status = _run_simplex(T, basis, n + m, max_iter)
+    status = _run_simplex(T, basis, n + m)
     if status != "optimal":
         raise RuntimeError("phase-1 simplex did not terminate at an optimum")
     if -T[-1, -1] > 1e-7:
@@ -91,7 +92,7 @@ def solve_standard_lp(
     T2[-1, :n] = c
     for r, bv in enumerate(basis2):
         T2[-1] -= T2[-1, bv] * T2[r]
-    status = _run_simplex(T2, basis2, n, max_iter)
+    status = _run_simplex(T2, basis2, n)
     if status != "optimal":
         return status, np.zeros(n), -np.inf
 
@@ -100,9 +101,7 @@ def solve_standard_lp(
     return "optimal", x, float(c @ x)
 
 
-def hull_residual(
-    points: np.ndarray, target: np.ndarray, max_iter: int = 20000
-) -> tuple[float, np.ndarray]:
+def hull_residual(points: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest sup-norm error of a convex combination of rows reaching target.
 
     Minimizes s subject to |sum_k theta_k points[k] - target|_inf <= s with
@@ -134,7 +133,7 @@ def hull_residual(
         A[1 + d + j, k + 1 + d + j] = 1.0
         b[1 + d + j] = -y[j]
 
-    status, x, obj = solve_standard_lp(c, A, b, max_iter=max_iter)
+    status, x, obj = solve_standard_lp(c, A, b)
     if status != "optimal":
         raise RuntimeError(f"hull feasibility LP ended with status {status}")
     theta = np.maximum(x[:k], 0.0)

@@ -124,6 +124,19 @@ class TestSimulate:
     def test_unknown_scenario_exits_4(self, files):
         assert main(["simulate", "--config", files["cfg_bad.json"]]) == 4
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "example1-2p", "T": 2},  # shorter than one cycle
+            {"scenario": "example2", "extras": {"runs": 0}},
+        ],
+    )
+    def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):
+        dump_json(doc, tmp_path / "cfg.json")
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_rerun_from_emitted_config_is_bit_identical(self, files, tmp_path, capsys):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"

@@ -72,6 +72,15 @@ class TestEvaluateWeight:
         assert evaluate_weight(w, 0.25) == pytest.approx(0.15)
         assert evaluate_weight(w, 0.75) == pytest.approx(0.65)
 
+    def test_tabulated_equality_and_hash_follow_the_grid(self):
+        points = [(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)]
+        a, b = tabulated_weighting(points), tabulated_weighting(points)
+        assert a == b and hash(a) == hash(b)
+        assert a != tabulated_weighting([(0.0, 0.0), (0.5, 0.4), (1.0, 1.0)])
+        p = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(a(p), np.interp(p, [0.0, 0.5, 1.0], [0.0, 0.3, 1.0]))
+        assert "_ps" not in repr(a)
+
     def test_tabulated_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             tabulated_weighting([(0.0, 0.0), (0.5, 0.5)])  # endpoint not pinned

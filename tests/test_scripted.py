@@ -124,6 +124,10 @@ class TestTailProbe:
         with pytest.raises(ValueError):
             regret_tail_probe(probe_strategy_family("always-top"), 10, 8, 1, 0)
 
+    def test_rejects_no_runs(self):
+        with pytest.raises(ValueError, match="n_runs"):
+            regret_tail_probe(probe_strategy_family("always-top"), 5, 1, 0, 0)
+
     def test_deterministic_given_seed(self):
         a = regret_tail_probe(probe_strategy_family("always-top"), 5, 1, 40, 7)
         b = regret_tail_probe(probe_strategy_family("always-top"), 5, 1, 40, 7)

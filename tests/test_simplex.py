@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cpt_games import simplex
 from cpt_games.simplex import hull_residual, solve_standard_lp
 
 
@@ -66,6 +67,12 @@ class TestStandardLp:
         second = solve_standard_lp(c, A, b)
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        # min x + 2y st x + y = 1 needs a phase-1 pivot
+        monkeypatch.setattr(simplex, "MAX_ITER", 0)
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            solve_standard_lp(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
 
 
 class TestHullResidual:
