@@ -307,13 +307,18 @@ class RegretTriples:
 # ---------------------------------------------------------------------------
 
 
-def rank_outcomes(lottery: Lottery) -> np.ndarray:
-    """Indices sorting outcomes from largest to smallest.
+def _rank(z: np.ndarray) -> np.ndarray:
+    """Indices sorting outcomes ``z`` from largest to smallest.
 
     Ties keep ascending original order, so runs are reproducible; the CPT
     value does not depend on how ties are broken.
     """
-    return np.argsort(-lottery.outcomes, kind="stable")
+    return np.argsort(-z, kind="stable")
+
+
+def rank_outcomes(lottery: Lottery) -> np.ndarray:
+    """Indices sorting the lottery's outcomes from largest to smallest."""
+    return _rank(lottery.outcomes)
 
 
 def _block_cumulative(p: np.ndarray, z: np.ndarray, total: float) -> np.ndarray:
@@ -390,29 +395,32 @@ def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarra
     return _ranked_weights(p, lottery.outcomes[order], math.fsum(p), prefs)
 
 
+def _value(p: np.ndarray, z: np.ndarray, total: float, prefs: CptPreferences) -> float:
+    """CPT value of outcomes ``z`` with validated probabilities ``p`` of
+    exactly rounded mass ``total``: the one rank-dependent evaluation."""
+    order = _rank(z)
+    ranked = z[order]
+    pi, _ = _ranked_weights(p[order], ranked, total, prefs)
+    return float(np.dot(pi, prefs.value(ranked)))
+
+
 def row_values(probs, outcome_rows, prefs: CptPreferences) -> np.ndarray:
     """CPT values of the k lotteries paying row r of ``outcome_rows`` (k, d)
     with the d ``probs``, such as a player's actions against one opponent mix.
 
-    Each row is ranked once and valued exactly as a lone lottery; every
-    single-point valuation goes through here.
+    The probabilities are validated and summed once; each row is valued
+    exactly as a lone lottery.
     """
     p, total = _as_probabilities(probs, "lottery probabilities")
     rows = np.asarray(outcome_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != p.size or not np.all(np.isfinite(rows)):
         raise ValueError("outcome rows must be a finite (k, d) matrix over d probabilities")
-    out = np.empty(len(rows))
-    for r, z in enumerate(rows):
-        order = np.argsort(-z, kind="stable")
-        ranked = z[order]
-        pi, _ = _ranked_weights(p[order], ranked, total, prefs)
-        out[r] = np.dot(pi, prefs.value(ranked))
-    return out
+    return np.array([_value(p, z, total, prefs) for z in rows])
 
 
 def cpt_value(lottery: Lottery, prefs: CptPreferences) -> float:
     """CPT value of a lottery: decision weights times outcome values."""
-    return float(row_values(lottery.probs, lottery.outcomes[None, :], prefs)[0])
+    return _value(lottery.probs, lottery.outcomes, math.fsum(lottery.probs), prefs)
 
 
 def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:

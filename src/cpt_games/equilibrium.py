@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpt import cpt_values, row_values
+from .cpt import cpt_value, cpt_values
 from .games import (
     Game,
     JointDistribution,
     OpponentDistribution,
     ProductDistribution,
     conditional,
+    induced_lottery,
     marginal,
     player_rows,
 )
@@ -86,20 +87,14 @@ class Certificate:
         }
 
 
-def _verdict(
-    worst: float, tol: float, culprit: dict, meta: dict, witness: dict | None = None
-) -> Certificate:
-    """Member when the worst slack is >= -tol; otherwise ``culprit`` names the violation."""
-    if worst >= -tol:
-        return Certificate(True, worst, witness or {"kind": "none"}, meta)
-    return Certificate(False, worst, {"kind": "violation", **culprit}, meta)
-
-
 def action_values(game: Game, i: int, pi: OpponentDistribution) -> np.ndarray:
     """CPT value of every action of player i against the opponent mix."""
-    if pi.player != i:
-        raise ValueError("opponent distribution belongs to a different player")
-    return row_values(pi.flat(), player_rows(game.payoffs[i], i), game.prefs[i])
+    return np.array(
+        [
+            cpt_value(induced_lottery(game, i, pi, a), game.prefs[i])
+            for a in range(game.num_actions(i))
+        ]
+    )
 
 
 def best_reaction(game: Game, i: int, pi: OpponentDistribution) -> int:
@@ -120,8 +115,9 @@ def region_membership(
     Returns (member, margin) with margin = V(a_i) - V(dev); membership
     means margin >= -tol.
     """
-    values = action_values(game, i, pi)
-    margin = float(values[a_i] - values[dev])
+    v_keep = cpt_value(induced_lottery(game, i, pi, a_i), game.prefs[i])
+    v_dev = cpt_value(induced_lottery(game, i, pi, dev), game.prefs[i])
+    margin = v_keep - v_dev
     return margin >= -tol, margin
 
 
@@ -137,7 +133,8 @@ def check_correlated_eq(
     """Membership of a joint distribution in the correlated-equilibrium set."""
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
-    worst, culprit = np.inf, None
+    worst = np.inf
+    worst_tuple = None
     for i in range(game.n):
         m = marginal(mu, i)
         for a_i in range(game.num_actions(i)):
@@ -150,11 +147,21 @@ def check_correlated_eq(
                     continue
                 margin = float(values[a_i] - values[dev])
                 if margin < worst:
-                    worst, culprit = margin, {"player": i, "action": a_i, "deviation": dev}
-    if culprit is None:
+                    worst = margin
+                    worst_tuple = (i, a_i, dev)
+    if worst_tuple is None:
         # single-action players everywhere; vacuously a member
         return Certificate(True, np.inf, {"kind": "none"})
-    return _verdict(worst, tol, culprit, {"check": "correlated", "tol": tol})
+    member = worst >= -tol
+    witness: dict = {"kind": "none"}
+    if not member:
+        witness = {
+            "kind": "violation",
+            "player": worst_tuple[0],
+            "action": worst_tuple[1],
+            "deviation": worst_tuple[2],
+        }
+    return Certificate(member, worst, witness, {"check": "correlated", "tol": tol})
 
 
 def check_nash(
@@ -170,7 +177,8 @@ def check_nash(
         raise TypeError("check_nash requires a product-form distribution")
     if tuple(len(f) for f in mu.factors) != game.shape:
         raise ValueError("distribution shape does not match the game")
-    worst, culprit = np.inf, None
+    worst = np.inf
+    worst_tuple = None
     for i in range(game.n):
         pi = mu.opponent_mix(i)
         values = action_values(game, i, pi)
@@ -180,9 +188,18 @@ def check_nash(
                 continue
             margin = float(values[a_i] - top)
             if margin < worst:
-                dev = int(np.argmax(values))
-                worst, culprit = margin, {"player": i, "action": a_i, "deviation": dev}
-    return _verdict(worst, tol, culprit, {"check": "nash", "tol": tol})
+                worst = margin
+                worst_tuple = (i, a_i, int(np.argmax(values)))
+    member = worst >= -tol
+    witness: dict = {"kind": "none"}
+    if not member and worst_tuple is not None:
+        witness = {
+            "kind": "violation",
+            "player": worst_tuple[0],
+            "action": worst_tuple[1],
+            "deviation": worst_tuple[2],
+        }
+    return Certificate(member, worst, witness, {"check": "nash", "tol": tol})
 
 
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
@@ -341,7 +358,8 @@ def check_mediated_eq(
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
-    worst, culprit = np.inf, None
+    worst = np.inf
+    worst_key = None
     hulls = {}
     lp_points = 0
     for i in range(game.n):
@@ -355,12 +373,30 @@ def check_mediated_eq(
             lp_points += used
             hulls[f"{i}:{a_i}"] = cert.witness
             if cert.margin < worst:
-                worst, culprit = cert.margin, {"player": i, "action": a_i, "deviation": None}
-    if culprit is None:
+                worst = cert.margin
+                worst_key = (i, a_i)
+    if worst_key is None:
         return Certificate(True, np.inf, {"kind": "none"})
-    meta = {"check": "mediated", "tol": tol, "resolution": resolution or "default",
-            "lp_points": lp_points}
-    return _verdict(worst, tol, culprit, meta, {"kind": "mediated", "per_action": hulls})
+    member = worst >= -tol
+    witness: dict = {"kind": "mediated", "per_action": hulls}
+    if not member:
+        witness = {
+            "kind": "violation",
+            "player": worst_key[0],
+            "action": worst_key[1],
+            "deviation": None,
+        }
+    return Certificate(
+        member,
+        worst,
+        witness,
+        {
+            "check": "mediated",
+            "tol": tol,
+            "resolution": resolution or "default",
+            "lp_points": lp_points,
+        },
+    )
 
 
 def mediated_hull_distance(

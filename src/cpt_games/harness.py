@@ -89,7 +89,7 @@ def random_game(
     sizes: tuple[int, ...],
     eut: bool = False,
 ) -> Game:
-    """Random payoffs in [-1, 1] with random CPT (or EUT) preferences."""
+    """Random payoffs in [-PAYOFF_SCALE, PAYOFF_SCALE] with random CPT (or EUT) preferences."""
     n = len(sizes)
     payoffs = rng.uniform(-PAYOFF_SCALE, PAYOFF_SCALE, size=(n,) + tuple(sizes))
     actions = [tuple(str(k) for k in range(s)) for s in sizes]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import Certificate, DEFAULT_TOL, _region_margin, _verdict, action_values
+from .equilibrium import Certificate, DEFAULT_TOL, _region_margin, action_values
 from .games import Game, JointDistribution, OpponentDistribution, conditional, marginal
 
 WITNESS_MIX_TOL = 1e-6
@@ -171,7 +171,8 @@ def verify_mediated_nash(
     mg: MediatedGame, sigma: RandomizedStrategyProfile, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Are all supported actions best reactions to their signal assessments?"""
-    worst, culprit = np.inf, None
+    worst = np.inf
+    worst_tuple = None
     for i in range(mg.base.n):
         psi_i = mg.signal_marginal(i)
         for b_i in range(len(mg.signals[i])):
@@ -185,12 +186,21 @@ def verify_mediated_nash(
                     continue
                 margin = float(values[a_i] - top)
                 if margin < worst:
-                    dev = int(np.argmax(values))
                     worst = margin
-                    culprit = {"player": i, "signal": b_i, "action": a_i, "deviation": dev}
-    if culprit is None:
+                    worst_tuple = (i, b_i, a_i, int(np.argmax(values)))
+    if worst_tuple is None:
         return Certificate(True, np.inf, {"kind": "none"})
-    return _verdict(worst, tol, culprit, {"check": "mediated-nash", "tol": tol})
+    member = worst >= -tol
+    witness: dict = {"kind": "none"}
+    if not member:
+        witness = {
+            "kind": "violation",
+            "player": worst_tuple[0],
+            "signal": worst_tuple[1],
+            "action": worst_tuple[2],
+            "deviation": worst_tuple[3],
+        }
+    return Certificate(member, worst, witness, {"check": "mediated-nash", "tol": tol})
 
 
 def reduce_convex_witness(

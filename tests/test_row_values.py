@@ -1,9 +1,10 @@
-"""Single-point CPT valuation through ``row_values``.
+"""Single-point CPT valuation through one exact routine.
 
-Every per-action valuation (action values, the exact region test, regret
-matrices, ``cpt_value`` and ``cpt_regret``) goes through one routine.  The
-reference below is a frozen copy of the scalar evaluator those callers
-used before, one ``Lottery`` per action; values must match it bit for bit,
+``row_values`` (several outcome rows against one probability vector) and
+``cpt_value`` (one lottery) share one rank-dependent evaluation, and action
+values, the exact region test, regret matrices and ``cpt_regret`` are built
+on them.  The reference below is a frozen copy of the scalar evaluator
+before that, one ``Lottery`` per action; values must match it bit for bit,
 and the traces built on them must keep their pinned digests.
 """
 
@@ -164,6 +165,8 @@ def test_single_point_values_equal_the_frozen_scalar_evaluator(name):
             lotteries = [Lottery(pi.flat(), ref_outcomes(game, i, a)) for a in range(k)]
             expected = np.array([ref_cpt_value(lot, prefs) for lot in lotteries])
             assert np.array_equal(action_values(game, i, pi), expected)
+            rows = player_rows(game.payoffs[i], i)
+            assert np.array_equal(row_values(pi.flat(), rows, prefs), expected)
             for a, lot in enumerate(lotteries):
                 assert cpt_value(lot, prefs) == expected[a]
                 weights, split = decision_weights(lot, prefs)
