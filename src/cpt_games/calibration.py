@@ -36,8 +36,6 @@ __all__ = [
     "CalibratedForecaster",
 ]
 
-# largest grid whose invariant play is a direct solve; above it, iteration
-_DENSE_MAX = 320
 # restart probability of the damped chain whose invariant vector is played
 _DELTA = 1e-9
 
@@ -108,19 +106,19 @@ class CalibratedForecaster:
     scores are bounded by a constant times the grid pitch, almost surely,
     for any outcome sequence that does not react to the current forecast.
 
-    On grids of at most 320 points the invariant distribution comes from a
-    damped direct solve of the balance equations.  A grid point whose
-    positive regret row is zero (a forecast never issued, or one whose
-    regrets all went non-positive) is absorbing up to the restart, so its
-    column of the balance matrix is the restart rate times a unit vector
-    and the system is block-triangular: the points whose rows have been
-    positive at some step are solved on their own block, and every other
-    point follows from them in closed form.  The positive regrets are kept
-    in slot order, with those points in the leading slots in the order
-    they went live, so the block is a leading slice of the kept matrix.
-    Forecasters issue a new grid point nearly every step, so the block
-    grows with the step count rather than with the grid.  Larger grids use
-    warm-started power iteration.
+    The invariant distribution comes from a damped direct solve of the
+    balance equations, on every grid.  A grid point whose positive regret
+    row is zero (a forecast never issued, or one whose regrets all went
+    non-positive) is absorbing up to the restart, so its column of the
+    balance matrix is the restart rate times a unit vector and the system
+    is block-triangular: the points whose rows have been positive at some
+    step are solved on their own block, and every other point follows from
+    them in closed form.  The positive regrets are kept in slot order, with
+    those points in the leading slots in the order they went live, so the
+    block is a leading slice of the kept matrix.  Forecasters issue a new
+    grid point nearly every step, so the block grows with the step count
+    rather than with the grid.  A solve whose result is not a finite,
+    non-negative vector of positive mass raises ``RuntimeError``.
     """
 
     def __init__(self, n_outcomes: int, epsilon: float):
@@ -142,19 +140,17 @@ class CalibratedForecaster:
         self._rows = np.zeros(q)
         self._play = np.full(q, 1.0 / q)
         self._last: int | None = None
-        if q <= _DENSE_MAX:
-            self._rhs = np.full(q, _DELTA / q)
-            self._abuf = np.empty(q * q)
+        self._rhs = np.full(q, _DELTA / q)
+        self._abuf = np.empty(q * q)
         self._reset_slots()
 
     def _reset_slots(self) -> None:
         # points whose rows have been positive hold slots [0, _m) in the
-        # order they went live; large grids never reorder and start with
-        # every point live
+        # order they went live
         q = self._rows.size
         self._point = np.arange(q)
         self._slot = np.arange(q)
-        self._m = 0 if q <= _DENSE_MAX else q
+        self._m = 0
 
     def reset(self) -> None:
         self._regret.fill(0.0)
@@ -184,54 +180,44 @@ class CalibratedForecaster:
         if kappa <= 0.0:
             return self._play
         q = rows.size
-        if q <= _DENSE_MAX:
-            # damped balance equations: the chain moving along positive
-            # regrets, restarted uniformly with probability delta, has a
-            # unique invariant vector and a provably nonsingular system
-            #   A p = delta / q,  A = (I - (1-delta) P)^T
-            # with P = pos/kappa + diag(1 - rows/kappa), in slot order.  A
-            # slot j with rows[j] == 0 has column delta * e_j in A, so the
-            # slots r < m of points ever live (a superset of the live ones)
-            # solve alone, and row j of the system gives, for j >= m,
-            #   p_j = 1/q + (scale/delta) * sum_{i < m} pos[i, j] p_i.
-            delta = _DELTA
-            scale = (1.0 - delta) / kappa
-            m = self._m
-            # a.T is A restricted to the live slots
-            a = self._abuf[: m * m].reshape(m, m)
-            np.multiply(pos[:m, :m], -scale, out=a)
-            diag = self._abuf[: m * m : m + 1]
-            np.multiply(rows[:m], scale, out=diag)
-            diag += delta
-            p = np.linalg.solve(a.T, self._rhs[:m])
-            if m < q:
-                full = p @ pos[:m]
-                full *= scale / delta
-                full += 1.0 / q
-                full[:m] = p
-                p = full
-            p = p[self._slot]
-            lo = p.min()
+        # damped balance equations: the chain moving along positive regrets,
+        # restarted uniformly with probability delta, has a unique invariant
+        # vector and a provably nonsingular system
+        #   A p = delta / q,  A = (I - (1-delta) P)^T
+        # with P = pos/kappa + diag(1 - rows/kappa), in slot order.  A slot j
+        # with rows[j] == 0 has column delta * e_j in A, so the slots r < m
+        # of points ever live (a superset of the live ones) solve alone, and
+        # row j of the system gives, for j >= m,
+        #   p_j = 1/q + (scale/delta) * sum_{i < m} pos[i, j] p_i.
+        delta = _DELTA
+        scale = (1.0 - delta) / kappa
+        m = self._m
+        # a.T is A restricted to the live slots
+        a = self._abuf[: m * m].reshape(m, m)
+        np.multiply(pos[:m, :m], -scale, out=a)
+        diag = self._abuf[: m * m : m + 1]
+        np.multiply(rows[:m], scale, out=diag)
+        diag += delta
+        p = np.linalg.solve(a.T, self._rhs[:m])
+        if m < q:
+            full = p @ pos[:m]
+            full *= scale / delta
+            full += 1.0 / q
+            full[:m] = p
+            p = full
+        p = p[self._slot]
+        lo = p.min()
+        s = p.sum()
+        # a NaN entry fails the min test, an infinite one the sum test
+        if not (lo >= -1e-9 and 0.0 < s < math.inf):
+            raise RuntimeError(
+                f"invariant play of the {m}-point live block is not a distribution"
+            )
+        if lo < 0.0:
+            np.maximum(p, 0.0, out=p)
             s = p.sum()
-            # a NaN entry fails the min test, an infinite one the sum test
-            if lo >= -1e-9 and 0.0 < s < math.inf:
-                if lo < 0.0:
-                    np.maximum(p, 0.0, out=p)
-                    s = p.sum()
-                p /= s
-                return p
-        # fall back to power iteration on the lazy chain, in slot order
-        M = pos * (0.5 / kappa)
-        diag = 1.0 - rows * (0.5 / kappa)
-        p = self._play[self._point]
-        for _ in range(200):
-            nxt = p @ M + p * diag
-            if np.abs(nxt - p).sum() <= 1e-11:
-                p = nxt
-                break
-            p = nxt
-        p = np.maximum(p, 0.0)
-        return (p / p.sum())[self._slot]
+        p /= s
+        return p
 
     def predict(self, rng: np.random.Generator) -> int:
         """Sample the next forecast; returns its grid index."""

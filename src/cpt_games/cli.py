@@ -74,16 +74,15 @@ def cmd_check(args) -> int:
         return _fail(
             f"distribution shape {tuple(mu.shape)} does not match game shape {game.shape}", 3
         )
-    tol = args.tol
+    # each check keeps its own default tolerance unless --tol is given
+    tol = {} if args.tol is None else {"tol": args.tol}
     try:
         if args.mode == "correlated":
-            cert = check_correlated_eq(game, mu, tol=tol if tol is not None else 1e-9)
+            cert = check_correlated_eq(game, mu, **tol)
         elif args.mode == "nash":
-            cert = check_nash(game, _as_product(mu), tol=tol if tol is not None else 1e-9)
+            cert = check_nash(game, _as_product(mu), **tol)
         elif args.mode == "mediated":
-            cert = check_mediated_eq(
-                game, mu, resolution=args.grid, tol=tol if tol is not None else 1e-6
-            )
+            cert = check_mediated_eq(game, mu, resolution=args.grid, **tol)
         else:
             return _fail(f"unknown mode {args.mode!r}", 2)
     except ValueError as e:

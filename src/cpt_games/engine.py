@@ -3,10 +3,12 @@
 One run plays a stage game for T steps.  At each step every player's
 strategy produces a mixed action (possibly after drawing an assessment of
 the opponents), the engine samples actions, and everyone observes the full
-profile.  Randomness is counter-based: player i at step t draws from a
-Philox stream keyed by (seed, i) positioned at counter t, so traces are
-bit-reproducible regardless of evaluation order and the players' draws are
-mutually independent.
+profile.  Randomness is counter-based: player i at step t draws from the
+Philox block at counter t + 1 of a stream keyed by (seed, i), so traces
+are bit-reproducible regardless of evaluation order and the players' draws
+are mutually independent.  A block holds four 64-bit words, which the
+strategy's own draws and the engine's action draw share, so a strategy
+draws at most three words a step.
 
 The trace logs actions, per-player assessment ids against a per-player
 dictionary of assessment vectors, and checkpoints of the empirical joint
@@ -204,23 +206,18 @@ class RunTrace:
 
 
 def _player_rngs(seed: int, n: int):
-    """One Philox generator per player; counters repositioned per step."""
+    """One Philox generator per player, about to draw the block of step 1.
+
+    A draw from an empty buffer first steps the counter, so a stream started
+    at counter 1 draws step t from block t + 1 as long as every step ends by
+    dropping the rest of its block (``advance(0)``).
+    """
     pairs = []
     for i in range(n):
         key = np.random.SeedSequence([int(seed), i]).generate_state(2, dtype=np.uint64)
-        bg = np.random.Philox(counter=[0, 0, 0, 0], key=key)
+        bg = np.random.Philox(counter=[1, 0, 0, 0], key=key)
         pairs.append((bg, np.random.Generator(bg)))
     return pairs
-
-
-def _position(bg, t: int) -> None:
-    s = bg.state
-    s["state"]["counter"][:] = 0
-    s["state"]["counter"][0] = t
-    s["buffer_pos"] = 4
-    s["has_uint32"] = 0
-    s["uinteger"] = 0
-    bg.state = s
 
 
 def run_engine(
@@ -252,15 +249,11 @@ def run_engine(
         profile = []
         for i, strat in enumerate(strategies):
             bg, rng = rngs[i]
-            _position(bg, t)
             mix, assess = strat.mix(t, rng)
             mix_log[i][t - 1] = mix
-            if mix.size == 1:
-                a = 0
-            else:
-                a = int(np.searchsorted(np.cumsum(mix), rng.random(), side="right"))
-                a = min(a, mix.size - 1)
-            profile.append(a)
+            a = int(np.searchsorted(np.cumsum(mix), rng.random(), side="right"))
+            profile.append(min(a, mix.size - 1))
+            bg.advance(0)
             if assess is not None:
                 key = assess.tobytes()
                 idx = keymaps[i].get(key)

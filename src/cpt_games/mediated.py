@@ -101,9 +101,6 @@ class RandomizedStrategyProfile:
             mats.append(a)
         object.__setattr__(self, "maps", tuple(mats))
 
-    def mix(self, i: int, b_i: int) -> np.ndarray:
-        return self.maps[i][b_i]
-
     def is_pure(self) -> bool:
         return all(np.all(np.max(m, axis=1) == 1.0) for m in self.maps)
 

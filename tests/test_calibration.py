@@ -118,8 +118,8 @@ class DenseReference(CalibratedForecaster):
     """The forecaster with the invariant play solved on the whole grid.
 
     Positive regrets and their row sums are recomputed from ``_regret`` on
-    every call; the balance system is solved densely on grids up to 320
-    points and by power iteration above.
+    every call, and the damped balance system is solved densely on every
+    grid, whatever its size.
     """
 
     def _invariant_play(self):
@@ -129,26 +129,12 @@ class DenseReference(CalibratedForecaster):
         if kappa <= 0.0:
             return self._play
         q = rows.size
-        if q <= 320:
-            delta = 1e-9
-            scale = (1.0 - delta) / kappa
-            a = -scale * pos.T
-            idx = np.arange(q)
-            a[idx, idx] = delta + scale * rows
-            p = np.linalg.solve(a, np.full(q, delta / q))
-            if p.min() >= -1e-9 and np.isfinite(p).all() and p.sum() > 0:
-                p = np.maximum(p, 0.0)
-                return p / p.sum()
-        M = pos * (0.5 / kappa)
-        diag = 1.0 - rows * (0.5 / kappa)
-        p = self._play
-        for _ in range(200):
-            nxt = p @ M + p * diag
-            if np.abs(nxt - p).sum() <= 1e-11:
-                p = nxt
-                break
-            p = nxt
-        p = np.maximum(p, 0.0)
+        delta = 1e-9
+        scale = (1.0 - delta) / kappa
+        a = -scale * pos.T
+        idx = np.arange(q)
+        a[idx, idx] = delta + scale * rows
+        p = np.maximum(np.linalg.solve(a, np.full(q, delta / q)), 0.0)
         return p / p.sum()
 
 
@@ -220,10 +206,11 @@ class TestInvariantPlay:
 
     @pytest.mark.parametrize(
         "n_outcomes,epsilon,steps",
-        [(2, 0.1, 3000), (3, 0.1, 600), (4, 0.1, 200), (5, 0.125, 12)],
+        [(2, 0.1, 3000), (3, 0.1, 600), (4, 0.1, 200), (5, 0.125, 12), (5, 0.125, 200)],
     )
     def test_forecasts_match_dense_reference(self, n_outcomes, epsilon, steps):
-        # grids of 11, 66, 286 and (power iteration) 495 points
+        # grids of 11, 66, 286 and 495 points, each solving its live block,
+        # so every play is the exact damped invariant distribution
         for seed in (0, 1):
             new = CalibratedForecaster(n_outcomes, epsilon)
             ref = DenseReference(n_outcomes, epsilon)
@@ -234,11 +221,10 @@ class TestInvariantPlay:
             for _ in range(steps):
                 k = new.predict(rng_new)
                 assert k == ref.predict(rng_ref)
+                assert np.abs(new._play - ref._play).max() <= 1e-12
                 y = int(nature.choice(n_outcomes, p=weights))
                 new.observe(y)
                 ref.observe(y)
-            if new.grid.shape[0] > 320:
-                assert np.array_equal(new._play, ref._play)
 
     @pytest.mark.parametrize(
         "n_outcomes,epsilon,steps,seed,digest",
@@ -267,18 +253,18 @@ class TestInvariantPlay:
             fc.observe(int(nature.choice(n_outcomes, p=weights)))
         assert hashlib.sha256(np.asarray(ks, dtype="<i8").tobytes()).hexdigest() == digest
 
-    def test_power_iteration_fallback_matches_dense(self, monkeypatch):
-        # a failed direct solve falls back to power iteration, which runs in
-        # slot order from the last play and returns the play in grid order
+    def test_failed_solve_raises(self, monkeypatch):
+        # a direct solve that does not return a distribution is an error,
+        # not a cue to fall back to another method
         fc = CalibratedForecaster(3, 0.1)
         q = fc.grid.shape[0]
         rng = np.random.default_rng(3)
         for _ in range(40):
             issue(fc, int(rng.integers(q)), int(rng.integers(3)))
-        assert 0 < fc._m < q and not np.array_equal(fc._point, np.arange(q))
-        fc._play = rng.dirichlet(np.ones(q))
+        assert 0 < fc._m < q
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
-        assert_matches_dense(fc)
+        with pytest.raises(RuntimeError, match=f"{fc._m}-point live block"):
+            fc.predict(rng)
 
     @pytest.mark.parametrize("n_outcomes,epsilon", [(2, 0.1), (3, 0.1), (4, 0.1), (5, 0.125)])
     def test_kept_positive_part_is_exact(self, n_outcomes, epsilon):
@@ -298,4 +284,4 @@ class TestInvariantPlay:
                     assert np.all(pos[slots[fc._m :]] == 0.0)
             fc.reset()
             assert not fc._regret.any() and not fc._pos.any() and not fc._rows.any()
-            assert fc._m == (0 if q <= 320 else q)
+            assert fc._m == 0

@@ -19,6 +19,9 @@ from cpt_games.equilibrium import region_membership
 from cpt_games.harness import random_game
 from cpt_games.scripted import (
     _alternating_assessment_2p,
+    _alternating_assessment_3p,
+    _column_assessment_3p,
+    block_adversary,
     counterexample_game,
     counterexample_game_3p,
 )
@@ -88,6 +91,113 @@ class TestRunEngine:
                 assert np.abs(
                     cp.regrets[i] - cpt_regret_matrix(g, i, trace, cp.t)
                 ).max() < 1e-12
+
+
+def reference_run(game, strategies, T, seed):
+    """Step-by-step engine loop that repositions each Philox stream per step.
+
+    Player i's generator is keyed by (seed, i); before step t its counter is
+    set to t with an empty buffer, so the step draws from block t + 1.  A
+    one-action player draws nothing.  Returns actions, mixes, assessment ids
+    and dictionaries, and the (t, xi, regrets) checkpoints.
+    """
+    n = game.n
+    for i, s in enumerate(strategies):
+        s.start(game, i, T)
+    gens = []
+    for i in range(n):
+        key = np.random.SeedSequence([seed, i]).generate_state(2, dtype=np.uint64)
+        bg = np.random.Philox(counter=[0, 0, 0, 0], key=key)
+        gens.append((bg, np.random.Generator(bg)))
+    actions = np.zeros((T, n), dtype=np.int64)
+    mixes = [np.zeros((T, game.num_actions(i))) for i in range(n)]
+    ids = [np.full(T, -1, dtype=np.int64) for _ in range(n)]
+    dicts = [[] for _ in range(n)]
+    counts = np.zeros(game.shape, dtype=np.int64)
+    checkpoints = []
+    for t in range(1, T + 1):
+        profile = []
+        for i, strat in enumerate(strategies):
+            bg, rng = gens[i]
+            state = bg.state
+            state["state"]["counter"][:] = 0
+            state["state"]["counter"][0] = t
+            state["buffer_pos"] = 4
+            state["has_uint32"] = 0
+            state["uinteger"] = 0
+            bg.state = state
+            mix, assess = strat.mix(t, rng)
+            mixes[i][t - 1] = mix
+            a = 0
+            if mix.size > 1:
+                u = rng.random()
+                a = min(int(np.searchsorted(np.cumsum(mix), u, side="right")), mix.size - 1)
+            profile.append(a)
+            if assess is not None:
+                known = [k for k, v in enumerate(dicts[i]) if v.tobytes() == assess.tobytes()]
+                if not known:
+                    dicts[i].append(np.asarray(assess, dtype=float).copy())
+                ids[i][t - 1] = known[0] if known else len(dicts[i]) - 1
+        profile = tuple(profile)
+        actions[t - 1] = profile
+        counts[profile] += 1
+        for strat in strategies:
+            strat.observe(t, profile)
+        if t & (t - 1) == 0 or t == T:
+            regrets = [regret_matrix_from_counts(game, i, counts, t) for i in range(n)]
+            checkpoints.append((t, counts / float(t), regrets))
+    return actions, mixes, ids, dicts, checkpoints
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fixed-mix", "block-adversary", "forecaster", "scripted-2p", "scripted-3p", "1x3", "3x1"],
+)
+def test_run_engine_matches_reference_loop(case):
+    if case == "fixed-mix":
+        game = counterexample_game()
+        make = lambda: [FixedMixStrategy([0.3, 0.7]), FixedMixStrategy([0.1, 0.2, 0.3, 0.4])]
+    elif case == "block-adversary":
+        game = counterexample_game()
+        make = lambda: [FixedMixStrategy([0.5, 0.5]), block_adversary(5)]
+    elif case == "forecaster":
+        game = counterexample_game()
+        make = lambda: [ForecastingBestReaction(0.25), block_adversary(5)]
+    elif case == "scripted-2p":
+        game = counterexample_game()
+        make = lambda: [
+            AssessmentDrivenStrategy(_alternating_assessment_2p),
+            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+        ]
+    elif case == "scripted-3p":
+        game = counterexample_game_3p()
+        make = lambda: [
+            AssessmentDrivenStrategy(_alternating_assessment_3p),
+            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
+            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+        ]
+    elif case == "1x3":
+        game = random_game(np.random.default_rng(3), (1, 3))
+        make = lambda: [FixedMixStrategy([1.0]), ForecastingBestReaction(0.25)]
+    else:
+        game = random_game(np.random.default_rng(4), (3, 1))
+        make = lambda: [FixedMixStrategy([0.2, 0.3, 0.5]), FixedMixStrategy([1.0])]
+    T = 150
+    for seed in (0, 1, 7):
+        trace = run_engine(game, make(), T, seed)
+        actions, mixes, ids, dicts, checkpoints = reference_run(game, make(), T, seed)
+        assert np.array_equal(trace.actions, actions)
+        for i in range(game.n):
+            assert np.array_equal(trace.mixes[i], mixes[i])
+            assert np.array_equal(trace.assessment_ids[i], ids[i])
+            assert len(trace.assessment_dicts[i]) == len(dicts[i])
+            for got, want in zip(trace.assessment_dicts[i], dicts[i]):
+                assert np.array_equal(got, want)
+        assert [cp.t for cp in trace.checkpoints] == [t for t, _, _ in checkpoints]
+        for cp, (_, xi, regrets) in zip(trace.checkpoints, checkpoints):
+            assert np.array_equal(cp.xi, xi)
+            for got, want in zip(cp.regrets, regrets):
+                assert np.array_equal(got, want)
 
 
 def regret_matrix_by_pairs(game, i, counts, t):
