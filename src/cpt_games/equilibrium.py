@@ -115,9 +115,8 @@ def region_membership(
     Returns (member, margin) with margin = V(a_i) - V(dev); membership
     means margin >= -tol.
     """
-    v_keep = cpt_value(induced_lottery(game, i, pi, a_i), game.prefs[i])
-    v_dev = cpt_value(induced_lottery(game, i, pi, dev), game.prefs[i])
-    margin = v_keep - v_dev
+    values = action_values(game, i, pi)
+    margin = float(values[a_i] - values[dev])
     return margin >= -tol, margin
 
 
@@ -127,40 +126,55 @@ def _region_margin(game: Game, i: int, a_i: int, pi: OpponentDistribution) -> fl
     return float(values[a_i] - values.max())
 
 
+def _conditionals(mu: JointDistribution, players):
+    """(i, a_i, conditional of mu given a_i) for every supported action."""
+    for i in players:
+        m = marginal(mu, i)
+        for a_i in range(len(m)):
+            if m[a_i] > 0.0:
+                yield i, a_i, conditional(mu, i, a_i)
+
+
+def _worst_deviation(game: Game, cases) -> tuple[float, tuple | None]:
+    """Least slack V(a) - V(d) over pure deviations d != a, for every case.
+
+    A case is (i, pi, supported actions of i): the assessment pi is what
+    the conditioning event (a recommended action, the opponents' product
+    mix, a received signal) tells player i.  Returns the least slack and
+    (case index, i, a, d) where it is first attained, or (inf, None) when
+    no supported action has a deviation.
+    """
+    worst, where = np.inf, None
+    for n, (i, pi, supported) in enumerate(cases):
+        # Python floats: for a few actions a plain loop costs less than NumPy calls
+        values = action_values(game, i, pi).tolist()
+        for a in supported:
+            for d, v in enumerate(values):
+                if d != a and values[a] - v < worst:
+                    worst, where = values[a] - v, (n, i, int(a), d)
+    return worst, where
+
+
+def _violation(player: int, action: int, deviation: int | None, **event) -> dict:
+    """Witness of the most violated inequality."""
+    return {
+        "kind": "violation", "player": player, **event, "action": action, "deviation": deviation
+    }
+
+
 def check_correlated_eq(
     game: Game, mu: JointDistribution, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Membership of a joint distribution in the correlated-equilibrium set."""
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
-    worst = np.inf
-    worst_tuple = None
-    for i in range(game.n):
-        m = marginal(mu, i)
-        for a_i in range(game.num_actions(i)):
-            if m[a_i] <= 0.0:
-                continue
-            pi = conditional(mu, i, a_i)
-            values = action_values(game, i, pi)
-            for dev in range(game.num_actions(i)):
-                if dev == a_i:
-                    continue
-                margin = float(values[a_i] - values[dev])
-                if margin < worst:
-                    worst = margin
-                    worst_tuple = (i, a_i, dev)
-    if worst_tuple is None:
+    cases = ((i, pi, [a_i]) for i, a_i, pi in _conditionals(mu, range(game.n)))
+    worst, where = _worst_deviation(game, cases)
+    if where is None:
         # single-action players everywhere; vacuously a member
         return Certificate(True, np.inf, {"kind": "none"})
     member = worst >= -tol
-    witness: dict = {"kind": "none"}
-    if not member:
-        witness = {
-            "kind": "violation",
-            "player": worst_tuple[0],
-            "action": worst_tuple[1],
-            "deviation": worst_tuple[2],
-        }
+    witness = {"kind": "none"} if member else _violation(*where[1:])
     return Certificate(member, worst, witness, {"check": "correlated", "tol": tol})
 
 
@@ -177,28 +191,12 @@ def check_nash(
         raise TypeError("check_nash requires a product-form distribution")
     if tuple(len(f) for f in mu.factors) != game.shape:
         raise ValueError("distribution shape does not match the game")
-    worst = np.inf
-    worst_tuple = None
-    for i in range(game.n):
-        pi = mu.opponent_mix(i)
-        values = action_values(game, i, pi)
-        top = values.max()
-        for a_i in range(game.num_actions(i)):
-            if mu.factors[i][a_i] <= 0.0:
-                continue
-            margin = float(values[a_i] - top)
-            if margin < worst:
-                worst = margin
-                worst_tuple = (i, a_i, int(np.argmax(values)))
+    cases = ((i, mu.opponent_mix(i), np.flatnonzero(f > 0.0)) for i, f in enumerate(mu.factors))
+    worst, where = _worst_deviation(game, cases)
+    # a best action's margin against the top value is 0, not its positive slack
+    worst = min(worst, 0.0)
     member = worst >= -tol
-    witness: dict = {"kind": "none"}
-    if not member and worst_tuple is not None:
-        witness = {
-            "kind": "violation",
-            "player": worst_tuple[0],
-            "action": worst_tuple[1],
-            "deviation": worst_tuple[2],
-        }
+    witness = {"kind": "none"} if member else _violation(*where[1:])
     return Certificate(member, worst, witness, {"check": "nash", "tol": tol})
 
 
@@ -341,6 +339,16 @@ def _hull_check_one(
     return hull_membership(pi, points, tol), len(points)
 
 
+def _hull_checks(game, mu, players, resolution, tol, region_cache):
+    """(i, a_i, certificate, LP points) for every supported conditional."""
+    res = [
+        resolution if resolution is not None else default_grid_resolution(game, i)
+        for i in range(game.n)
+    ]
+    for i, a_i, pi in _conditionals(mu, players):
+        yield i, a_i, *_hull_check_one(game, i, a_i, pi, res[i], tol, region_cache)
+
+
 def check_mediated_eq(
     game: Game,
     mu: JointDistribution,
@@ -358,34 +366,20 @@ def check_mediated_eq(
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
-    worst = np.inf
-    worst_key = None
-    hulls = {}
-    lp_points = 0
-    for i in range(game.n):
-        m = marginal(mu, i)
-        res = resolution if resolution is not None else default_grid_resolution(game, i)
-        for a_i in range(game.num_actions(i)):
-            if m[a_i] <= 0.0:
-                continue
-            pi = conditional(mu, i, a_i)
-            cert, used = _hull_check_one(game, i, a_i, pi, res, tol, region_cache)
-            lp_points += used
-            hulls[f"{i}:{a_i}"] = cert.witness
-            if cert.margin < worst:
-                worst = cert.margin
-                worst_key = (i, a_i)
+    worst, worst_key, hulls, lp_points = np.inf, None, {}, 0
+    for i, a_i, cert, used in _hull_checks(
+        game, mu, range(game.n), resolution, tol, region_cache
+    ):
+        lp_points += used
+        hulls[f"{i}:{a_i}"] = cert.witness
+        if cert.margin < worst:
+            worst, worst_key = cert.margin, (i, a_i)
     if worst_key is None:
         return Certificate(True, np.inf, {"kind": "none"})
     member = worst >= -tol
-    witness: dict = {"kind": "mediated", "per_action": hulls}
+    witness = {"kind": "mediated", "per_action": hulls}
     if not member:
-        witness = {
-            "kind": "violation",
-            "player": worst_key[0],
-            "action": worst_key[1],
-            "deviation": None,
-        }
+        witness = _violation(*worst_key, None)
     return Certificate(
         member,
         worst,
@@ -412,14 +406,7 @@ def mediated_hull_distance(
     Zero for members of the sampled mediated set.  Restricting ``players``
     measures the per-player hull distance used by convergence diagnostics.
     """
-    worst = 0.0
-    for i in players if players is not None else range(game.n):
-        m = marginal(mu, i)
-        res = resolution if resolution is not None else default_grid_resolution(game, i)
-        for a_i in range(game.num_actions(i)):
-            if m[a_i] <= 0.0:
-                continue
-            pi = conditional(mu, i, a_i)
-            cert, _ = _hull_check_one(game, i, a_i, pi, res, tol, region_cache)
-            worst = max(worst, -cert.margin)
-    return worst
+    players = players if players is not None else range(game.n)
+    checks = _hull_checks(game, mu, players, resolution, tol, region_cache)
+    # 0.0 first: a self-certified conditional's -margin is -0.0
+    return max([0.0] + [-cert.margin for _, _, cert, _ in checks])

@@ -9,6 +9,7 @@ on-disk layout of payoff tensors and distribution vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -173,11 +174,12 @@ class ProductDistribution:
 
     def opponent_mix(self, i: int) -> "OpponentDistribution":
         """Joint distribution of everyone except player i (a product)."""
-        others = [f for j, f in enumerate(self.factors) if j != i]
-        joint = others[0]
-        for f in others[1:]:
-            joint = np.multiply.outer(joint, f)
-        return OpponentDistribution(i, joint)
+        return OpponentDistribution(i, _outer(self.factors[:i] + self.factors[i + 1 :]))
+
+
+def _outer(factors) -> np.ndarray:
+    """Outer product of 1-d factors, one axis per factor in the given order."""
+    return functools.reduce(np.multiply.outer, factors)
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,4 @@ def empirical_update(
 
 def product_join(pd: ProductDistribution) -> JointDistribution:
     """Outer product of the per-player factors."""
-    joint = pd.factors[0]
-    for f in pd.factors[1:]:
-        joint = np.multiply.outer(joint, f)
-    return JointDistribution(joint)
+    return JointDistribution(_outer(pd.factors))

@@ -22,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import Certificate, DEFAULT_TOL, _region_margin, action_values
-from .games import Game, JointDistribution, OpponentDistribution, conditional, marginal
+from .equilibrium import (
+    DEFAULT_TOL,
+    Certificate,
+    _conditionals,
+    _region_margin,
+    _violation,
+    _worst_deviation,
+)
+from .games import Game, JointDistribution, OpponentDistribution, marginal
 
 WITNESS_MIX_TOL = 1e-6
 
@@ -168,35 +175,21 @@ def verify_mediated_nash(
     mg: MediatedGame, sigma: RandomizedStrategyProfile, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Are all supported actions best reactions to their signal assessments?"""
-    worst = np.inf
-    worst_tuple = None
-    for i in range(mg.base.n):
-        psi_i = mg.signal_marginal(i)
-        for b_i in range(len(mg.signals[i])):
-            if psi_i[b_i] <= 0.0:
-                continue
-            pi = signal_assessment(mg, sigma, i, b_i)
-            values = action_values(mg.base, i, pi)
-            top = values.max()
-            for a_i in range(mg.base.num_actions(i)):
-                if sigma.maps[i][b_i, a_i] <= 0.0:
-                    continue
-                margin = float(values[a_i] - top)
-                if margin < worst:
-                    worst = margin
-                    worst_tuple = (i, b_i, a_i, int(np.argmax(values)))
-    if worst_tuple is None:
-        return Certificate(True, np.inf, {"kind": "none"})
+    signals = [
+        (i, b_i) for i in range(mg.base.n) for b_i, p in enumerate(mg.signal_marginal(i)) if p > 0.0
+    ]
+    cases = (
+        (i, signal_assessment(mg, sigma, i, b_i), np.flatnonzero(sigma.maps[i][b_i] > 0.0))
+        for i, b_i in signals
+    )
+    worst, where = _worst_deviation(mg.base, cases)
+    # a best action's margin against the top value is 0, not its positive slack
+    worst = min(worst, 0.0)
     member = worst >= -tol
-    witness: dict = {"kind": "none"}
+    witness = {"kind": "none"}
     if not member:
-        witness = {
-            "kind": "violation",
-            "player": worst_tuple[0],
-            "signal": worst_tuple[1],
-            "action": worst_tuple[2],
-            "deviation": worst_tuple[3],
-        }
+        n, i, a_i, dev = where
+        witness = _violation(i, a_i, dev, signal=signals[n][1])
     return Certificate(member, worst, witness, {"check": "mediated-nash", "tol": tol})
 
 
@@ -255,40 +248,36 @@ def construct_mediator(
 
     thetas: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
     zetas: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    for i in range(n):
-        for a_i in range(game.num_actions(i)):
-            if margs[i][a_i] <= 0.0:
-                continue
-            if (i, a_i) not in witnesses:
-                raise InvalidWitnessError(f"missing witness for player {i} action {a_i}")
-            pairs = witnesses[(i, a_i)]
-            th = np.array([w for w, _ in pairs], dtype=float)
-            zs = np.array([np.asarray(z, dtype=float).ravel() for _, z in pairs])
-            if np.any(th < -1e-12) or abs(th.sum() - 1.0) > 1e-9:
-                raise InvalidWitnessError(
-                    f"weights for player {i} action {a_i} are not a distribution"
-                )
-            th = np.clip(th, 0.0, None)
-            th = th / th.sum()
-            if th.size > n_idx[i]:
-                zs, th = reduce_convex_witness(zs, th, n_idx[i])
-            if th.size > n_idx[i]:
-                raise InvalidWitnessError(
-                    f"witness for player {i} action {a_i} needs more than "
-                    f"{n_idx[i]} points after reduction"
-                )
-            target = conditional(mu, i, a_i).flat()
-            if np.max(np.abs(zs.T @ th - target)) > WITNESS_MIX_TOL:
-                raise InvalidWitnessError(
-                    f"witness mixture for player {i} action {a_i} misses the conditional"
-                )
-            # pad with zero-weight copies so every player has n_idx[i] indices
-            if th.size < n_idx[i]:
-                pad = n_idx[i] - th.size
-                th = np.concatenate([th, np.zeros(pad)])
-                zs = np.vstack([zs, np.repeat(zs[-1:], pad, axis=0)])
-            thetas[i][a_i] = th
-            zetas[i][a_i] = zs
+    for i, a_i, target in _conditionals(mu, range(n)):
+        if (i, a_i) not in witnesses:
+            raise InvalidWitnessError(f"missing witness for player {i} action {a_i}")
+        pairs = witnesses[(i, a_i)]
+        th = np.array([w for w, _ in pairs], dtype=float)
+        zs = np.array([np.asarray(z, dtype=float).ravel() for _, z in pairs])
+        if np.any(th < -1e-12) or abs(th.sum() - 1.0) > 1e-9:
+            raise InvalidWitnessError(
+                f"weights for player {i} action {a_i} are not a distribution"
+            )
+        th = np.clip(th, 0.0, None)
+        th = th / th.sum()
+        if th.size > n_idx[i]:
+            zs, th = reduce_convex_witness(zs, th, n_idx[i])
+        if th.size > n_idx[i]:
+            raise InvalidWitnessError(
+                f"witness for player {i} action {a_i} needs more than "
+                f"{n_idx[i]} points after reduction"
+            )
+        if np.max(np.abs(zs.T @ th - target.flat())) > WITNESS_MIX_TOL:
+            raise InvalidWitnessError(
+                f"witness mixture for player {i} action {a_i} misses the conditional"
+            )
+        # pad with zero-weight copies so every player has n_idx[i] indices
+        if th.size < n_idx[i]:
+            pad = n_idx[i] - th.size
+            th = np.concatenate([th, np.zeros(pad)])
+            zs = np.vstack([zs, np.repeat(zs[-1:], pad, axis=0)])
+        thetas[i][a_i] = th
+        zetas[i][a_i] = zs
 
     signal_labels = tuple(
         tuple(f"{a}#{m}" for a in game.actions[i] for m in range(1, n_idx[i] + 1))
