@@ -10,8 +10,8 @@ are mutually independent.  A block holds four 64-bit words, which the
 strategy's own draws and the engine's action draw share, so a strategy
 draws at most three words a step.
 
-The trace logs actions, per-player assessment ids against a per-player
-dictionary of assessment vectors, and checkpoints of the empirical joint
+The trace logs actions, per-player assessment ids into the dictionary of
+one ``ForecastRecord`` per player, and checkpoints of the empirical joint
 distribution and the CPT regret matrices at powers of two.  Checkpoints are
 computed from integer counts, so recomputing them from the action log is
 exact.
@@ -240,8 +240,7 @@ def run_engine(
     actions = np.zeros((T, n), dtype=np.int64)
     mix_log = [np.zeros((T, game.num_actions(i))) for i in range(n)]
     ids = [np.full(T, -1, dtype=np.int64) for _ in range(n)]
-    dicts: list[list[np.ndarray]] = [[] for _ in range(n)]
-    keymaps: list[dict[bytes, int]] = [{} for _ in range(n)]
+    records = [ForecastRecord(game.num_opponent_profiles(i)) for i in range(n)]
     counts = np.zeros(game.shape, dtype=np.int64)
     cps: list[Checkpoint] = []
 
@@ -255,13 +254,7 @@ def run_engine(
             profile.append(min(a, mix.size - 1))
             bg.advance(0)
             if assess is not None:
-                key = assess.tobytes()
-                idx = keymaps[i].get(key)
-                if idx is None:
-                    idx = len(dicts[i])
-                    keymaps[i][key] = idx
-                    dicts[i].append(np.asarray(assess, dtype=float).copy())
-                ids[i][t - 1] = idx
+                ids[i][t - 1] = records[i].intern(assess)
         profile = tuple(profile)
         actions[t - 1] = profile
         counts[profile] += 1
@@ -278,7 +271,7 @@ def run_engine(
         actions=actions,
         mixes=mix_log,
         assessment_ids=ids,
-        assessment_dicts=dicts,
+        assessment_dicts=[rec.dictionary for rec in records],
         checkpoints=cps,
     )
 
@@ -317,16 +310,15 @@ def assessment_record(trace: RunTrace, player: int) -> ForecastRecord:
     Outcomes are the opponents' joint actions (flat indices); steps without
     a logged assessment are skipped.
     """
-    n = len(trace.shape)
-    opp_shape = tuple(s for j, s in enumerate(trace.shape) if j != player)
+    opp_cols = [j for j in range(len(trace.shape)) if j != player]
+    opp_shape = tuple(trace.shape[j] for j in opp_cols)
     rec = ForecastRecord(int(np.prod(opp_shape)))
-    ids = trace.assessment_ids[player]
     remap = [rec.intern(v) for v in trace.assessment_dicts[player]]
-    opp_cols = [j for j in range(n) if j != player]
-    flat = np.ravel_multi_index(tuple(trace.actions[:, j] for j in opp_cols), opp_shape)
-    for t in range(trace.horizon):
-        if ids[t] >= 0:
-            rec.append(remap[ids[t]], int(flat[t]))
+    ids = trace.assessment_ids[player]
+    logged = ids >= 0
+    flat = np.ravel_multi_index(tuple(trace.actions[logged, j] for j in opp_cols), opp_shape)
+    for k, y in zip(ids[logged].tolist(), flat.tolist()):
+        rec.append(remap[k], y)
     return rec
 
 

@@ -8,7 +8,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .cpt import CptPreferences, eut_preferences, piecewise_power_value, prelec_weighting
 from .engine import ForecastingBestReaction, run_engine, max_calibration_score
-from .equilibrium import check_correlated_eq, check_mediated_eq
+from .equilibrium import DEFAULT_GRID, DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq
 from .fileio import SCHEMA_VERSION, dump_json, write_trace_jsonl
 from .games import Game, JointDistribution
 from .mediated import construct_mediator
@@ -52,7 +51,7 @@ class RunConfig:
     seed: int = 0
     forecaster_epsilon: float = 0.1
     grid_resolution: int | None = None
-    tol: float = 1e-6
+    tol: float = DEFAULT_HULL_TOL
     out: str | None = None
     extras: dict = field(default_factory=dict)
 
@@ -136,9 +135,7 @@ def _scenario_example1(config: RunConfig, variant: str) -> dict:
         seed=config.seed,
     )
     if config.out:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace_jsonl(trace, out / "trace.jsonl")
+        write_trace_jsonl(trace, Path(config.out) / "trace.jsonl")
     return report
 
 
@@ -167,7 +164,7 @@ def _scenario_random_2x2(config: RunConfig) -> dict:
     ex = config.extras
     games = int(ex.get("games", 50))
     dists = int(ex.get("dists", 200))
-    resolution = config.grid_resolution or 24
+    resolution = config.grid_resolution or DEFAULT_GRID
     rng = np.random.default_rng(config.seed)
     agree = 0
     total = 0
@@ -207,9 +204,7 @@ def _scenario_random(config: RunConfig) -> dict:
     corr = check_correlated_eq(game, xi)
     med = check_mediated_eq(game, xi, resolution=config.grid_resolution, tol=config.tol)
     if config.out:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace_jsonl(trace, out / "trace.jsonl")
+        write_trace_jsonl(trace, Path(config.out) / "trace.jsonl")
     return {
         "sizes": list(sizes),
         "calibration_scores": [max_calibration_score(trace, i) for i in range(game.n)],
@@ -240,13 +235,13 @@ def run_scenario(config: RunConfig) -> dict:
     """Dispatch a config to its scenario and wrap the summary."""
     if config.scenario not in SCENARIOS:
         raise KeyError(f"unknown scenario {config.scenario!r}")
+    if config.out:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
         "result": SCENARIOS[config.scenario](config),
     }
     if config.out:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        dump_json(summary, out / "summary.json")
+        dump_json(summary, Path(config.out) / "summary.json")
     return summary

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import ForecastRecord, calibration_score
-from .equilibrium import _region_margin
-from .games import Game, JointDistribution, OpponentDistribution
+from .equilibrium import DEFAULT_TOL, _region_margin
+from .games import JointDistribution, OpponentDistribution
 from .mediated import MediatedGame, RandomizedStrategyProfile, induced_action_distribution, signal_assessment
 
 __all__ = [
@@ -159,7 +159,7 @@ def construct_calibrated_replay(
                             "coincides with an assessment already in use"
                         )
                     pi = OpponentDistribution(i, vec.reshape(game.opponent_shape(i)))
-                    if _region_margin(game, i, act[i][b], pi) < -1e-9:
+                    if _region_margin(game, i, act[i][b], pi) < -DEFAULT_TOL:
                         raise ValueError(
                             f"repair point {p_idx} for player {i} signal {b} "
                             "is outside the acceptance region of its action"
@@ -172,22 +172,25 @@ def construct_calibrated_replay(
     signal_shape = mg.signal_shape
     profiles = np.array(np.unravel_index(schedule_flat, signal_shape)).T  # (T, n)
 
+    # per supported signal: its steps, its action, and the index into the
+    # player's table of shown vectors (a repaired signal's points by block)
     actions = np.zeros((T, n), dtype=np.int64)
-    assessments: list[list[np.ndarray]] = [[] for _ in range(n)]
-    occurrence: list[dict[int, int]] = [dict() for _ in range(n)]
-    for t in range(T):
-        for i in range(n):
-            b = int(profiles[t, i])
-            actions[t, i] = act[i][b]
-            k = occurrence[i].get(b, 0) + 1
-            occurrence[i][b] = k
-            if b in repaired[i]:
-                starts = repair_block_starts(k)
-                block = int(np.searchsorted(np.asarray(starts), k, side="right"))
-                pts = repaired[i][b]
-                assessments[i].append(pts[min(block, len(pts)) - 1])
+    tables: list[list[np.ndarray]] = [[] for _ in range(n)]
+    shown = np.empty((n, T), dtype=np.intp)
+    for i in range(n):
+        for b, vec in assess[i].items():
+            steps = np.flatnonzero(profiles[:, i] == b)
+            actions[steps, i] = act[i][b]
+            pts = repaired[i].get(b)
+            if pts is None:
+                shown[i, steps] = len(tables[i])
+                pts = [vec]
             else:
-                assessments[i].append(assess[i][b])
+                occurrence = np.arange(1, steps.size + 1)
+                block = np.searchsorted(repair_block_starts(steps.size), occurrence, side="right")
+                shown[i, steps] = len(tables[i]) + np.minimum(block, len(pts)) - 1
+            tables[i].extend(pts)
+    assessments = [[table[k] for k in row] for table, row in zip(tables, shown.tolist())]
 
     # report: calibration scores, empirical deviations
     eta = induced_action_distribution(mg, sigma)
@@ -200,8 +203,13 @@ def construct_calibrated_replay(
         rec = ForecastRecord(int(np.prod(opp_shape)))
         opp_cols = [j for j in range(n) if j != i]
         flat = np.ravel_multi_index(tuple(actions[:, j] for j in opp_cols), opp_shape)
-        for t in range(T):
-            rec.append(rec.intern(assessments[i][t]), int(flat[t]))
+        # intern each shown vector once, in order of first use: the score sums in id order
+        used, first = np.unique(shown[i], return_index=True)
+        ids = np.empty(len(tables[i]), dtype=np.intp)
+        for k in used[np.argsort(first)].tolist():
+            ids[k] = rec.intern(tables[i][k])
+        for k, y in zip(ids[shown[i]].tolist(), flat.tolist()):
+            rec.append(k, y)
         scores.append(float(calibration_score(rec).max()))
 
     sig_counts = np.zeros(signal_shape, dtype=np.int64)

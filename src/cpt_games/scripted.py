@@ -39,7 +39,9 @@ from .engine import (
     regret_matrix_from_counts,
     run_engine,
 )
-from .equilibrium import check_correlated_eq, check_mediated_eq, mediated_hull_distance
+from .equilibrium import (
+    DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq, mediated_hull_distance,
+)
 from .games import Game
 
 __all__ = [
@@ -152,7 +154,7 @@ def scripted_cycle_run(
     variant: str,
     T: int,
     resolution: int | None = None,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_HULL_TOL,
     seed: int = 0,
 ) -> tuple[RunTrace, dict]:
     """Run the calibrated cyclic-play script and summarize it.

@@ -48,6 +48,9 @@ def files(tmp_path):
     put("mediated.json", mediated_game_to_dict(mg, sigma, repair))
     mg_bare = identity_mediated_game(game, JointDistribution(odd_cycle_distribution()))
     put("mediated_bare.json", mediated_game_to_dict(mg_bare, obedient_profile(mg_bare)))
+    massless = mediated_game_to_dict(mg_bare, obedient_profile(mg_bare))
+    massless["psi"]["weights"] = [0.0] * len(massless["psi"]["weights"])
+    put("mediated_massless.json", massless)
     put("cfg.json", {"scenario": "example1-2p", "T": 400, "seed": 0})
     put("cfg_bad.json", {"scenario": "no-such-thing", "T": 10, "seed": 0})
     paths["dir"] = str(tmp_path)
@@ -163,3 +166,8 @@ class TestReplay:
     def test_collision_exits_5(self, files, capsys):
         code = main(["replay", "--game", files["mediated_bare.json"], "--steps", "100"])
         assert code == 5
+
+    def test_massless_mediator_exits_2(self, files, capsys):
+        code = main(["replay", "--game", files["mediated_massless.json"], "--steps", "100"])
+        assert code == 2
+        assert "no mass" in capsys.readouterr().err

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from cpt_games.calibration import ForecastRecord
 from cpt_games.engine import (
     ActionScriptStrategy,
     AssessmentDrivenStrategy,
     FixedMixStrategy,
     ForecastingBestReaction,
+    Strategy,
+    assessment_record,
     cpt_regret_matrix,
     max_calibration_score,
     regret_matrix_from_counts,
@@ -314,6 +317,73 @@ class TestAssessmentLogging:
         assert np.all(trace.assessment_ids[0] >= 0)
         dic = trace.assessment_dicts[0]
         assert all(abs(v.sum() - 1.0) < 1e-9 for v in dic)
+
+
+def reference_assessment_record(trace, player):
+    """Frozen copy of the per-step assessment record: one NumPy lookup of
+    the id and of the opponents' flat outcome per step."""
+    n = len(trace.shape)
+    opp_shape = tuple(s for j, s in enumerate(trace.shape) if j != player)
+    rec = ForecastRecord(int(np.prod(opp_shape)))
+    ids = trace.assessment_ids[player]
+    remap = [rec.intern(v) for v in trace.assessment_dicts[player]]
+    opp_cols = [j for j in range(n) if j != player]
+    flat = np.ravel_multi_index(tuple(trace.actions[:, j] for j in opp_cols), opp_shape)
+    for t in range(trace.horizon):
+        if ids[t] >= 0:
+            rec.append(remap[ids[t]], int(flat[t]))
+    return rec
+
+
+class EvenStepAssessments(Strategy):
+    """Uniform play that logs a cycling point-mass assessment on even steps."""
+
+    def mix(self, t, rng):
+        k = self.game.num_actions(self.player)
+        if t % 2:
+            return np.full(k, 1.0 / k), None
+        d = self.game.num_opponent_profiles(self.player)
+        return np.full(k, 1.0 / k), np.eye(d)[(t // 2) % d]
+
+
+@pytest.mark.parametrize(
+    "case", ["unlogged", "partly-logged", "forecaster", "scripted-2p", "scripted-3p"]
+)
+def test_assessment_record_matches_reference(case):
+    if case == "unlogged":
+        game = counterexample_game()
+        make = lambda: [FixedMixStrategy([0.3, 0.7]), block_adversary(5)]
+    elif case == "partly-logged":
+        game = counterexample_game_3p()
+        make = lambda: [EvenStepAssessments(), FixedMixStrategy([0.5] * 2 + [0.0] * 2), EvenStepAssessments()]
+    elif case == "forecaster":
+        game = counterexample_game()
+        make = lambda: [ForecastingBestReaction(0.25), ForecastingBestReaction(0.5)]
+    elif case == "scripted-2p":
+        game = counterexample_game()
+        make = lambda: [
+            AssessmentDrivenStrategy(_alternating_assessment_2p),
+            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+        ]
+    else:
+        game = counterexample_game_3p()
+        make = lambda: [
+            AssessmentDrivenStrategy(_alternating_assessment_3p),
+            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
+            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+        ]
+    for seed in (0, 1, 7):
+        trace = run_engine(game, make(), 300, seed, checkpoints=False)
+        for i in range(game.n):
+            got = assessment_record(trace, i)
+            want = reference_assessment_record(trace, i)
+            assert got.n_outcomes == want.n_outcomes
+            assert len(got.dictionary) == len(want.dictionary)
+            assert all(np.array_equal(g, w) for g, w in zip(got.dictionary, want.dictionary))
+            assert got.forecasts == want.forecasts
+            assert got.outcomes == want.outcomes
+            if case == "unlogged":
+                assert len(got) == 0
 
 
 class TestBestReactionStrategies:

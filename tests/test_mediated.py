@@ -7,6 +7,7 @@ from cpt_games.games import JointDistribution, ProductDistribution, product_join
 from cpt_games.equilibrium import check_correlated_eq
 from cpt_games.mediated import (
     InvalidWitnessError,
+    MediatedGame,
     RandomizedStrategyProfile,
     UnsupportedSignalError,
     construct_mediator,
@@ -25,6 +26,12 @@ def star_witnesses(mu_star):
     for c in range(4):
         w[(1, c)] = [(1.0, np.array([1.0, 0.0]))]
     return w
+
+
+def test_massless_mediator_rejected(game):
+    # an all-zero mediator is a valid JointDistribution but sends no signal
+    with pytest.raises(ValueError, match="no mass"):
+        MediatedGame(game, game.actions, JointDistribution.zeros(game.shape))
 
 
 class TestPushforward:

@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 
-from cpt_games.games import JointDistribution
+from cpt_games.calibration import ForecastRecord, calibration_score
+from cpt_games.equilibrium import _region_margin
+from cpt_games.games import JointDistribution, OpponentDistribution
 from cpt_games.harness import canonical_replay_instance
 from cpt_games.mediated import (
     MediatedGame,
     RandomizedStrategyProfile,
     identity_mediated_game,
+    induced_action_distribution,
     obedient_profile,
+    signal_assessment,
 )
 from cpt_games.replay import (
     AssessmentCollisionError,
+    _assessment_key,
+    _quota_schedule,
     construct_calibrated_replay,
     repair_block_starts,
 )
-from cpt_games.scripted import counterexample_game
+from cpt_games.scripted import counterexample_game, odd_cycle_distribution
 
 
 def odd_cycle_repair():
@@ -109,3 +115,155 @@ class TestReplay:
         scripts = construct_calibrated_replay(mg, sigma, 64, repair_points=odd_cycle_repair())
         assert scripts.actions.shape == (64, 2)
         assert all(len(a) == 64 for a in scripts.assessments)
+
+
+def reference_replay(mg, sigma, T, repair_points=None):
+    """Frozen copy of the per-step replay: one occurrence count, one list of
+    block starts and one interning per step.  Returns signals, actions,
+    per-step assessments and the report."""
+    game = mg.base
+    n = game.n
+    repair_points = repair_points or {}
+    assess = [dict() for _ in range(n)]
+    act = [dict() for _ in range(n)]
+    for i in range(n):
+        psi_i = mg.signal_marginal(i)
+        for b in range(len(mg.signals[i])):
+            if psi_i[b] <= 0.0:
+                continue
+            assess[i][b] = signal_assessment(mg, sigma, i, b).flat()
+            act[i][b] = sigma.pure_action(i, b)
+    repaired = [dict() for _ in range(n)]
+    used_keys = set()
+    for i in range(n):
+        for b, vec in assess[i].items():
+            used_keys.add(_assessment_key(vec))
+    for i in range(n):
+        groups = {}
+        for b in sorted(assess[i]):
+            groups.setdefault(_assessment_key(assess[i][b]), []).append(b)
+        for key, members in groups.items():
+            if len({act[i][b] for b in members}) <= 1:
+                continue
+            for b in members[1:]:
+                pts = repair_points.get((i, b))
+                if not pts:
+                    raise AssessmentCollisionError(i, members[0], b)
+                validated = []
+                for p in pts:
+                    vec = np.asarray(p, dtype=float).ravel()
+                    pkey = _assessment_key(vec)
+                    assert pkey not in used_keys
+                    pi = OpponentDistribution(i, vec.reshape(game.opponent_shape(i)))
+                    assert _region_margin(game, i, act[i][b], pi) >= -1e-9
+                    used_keys.add(pkey)
+                    validated.append(vec)
+                repaired[i][b] = validated
+
+    schedule_flat = _quota_schedule(mg.mediator, T)
+    signal_shape = mg.signal_shape
+    profiles = np.array(np.unravel_index(schedule_flat, signal_shape)).T
+    actions = np.zeros((T, n), dtype=np.int64)
+    assessments = [[] for _ in range(n)]
+    occurrence = [dict() for _ in range(n)]
+    for t in range(T):
+        for i in range(n):
+            b = int(profiles[t, i])
+            actions[t, i] = act[i][b]
+            k = occurrence[i].get(b, 0) + 1
+            occurrence[i][b] = k
+            if b in repaired[i]:
+                starts = repair_block_starts(k)
+                block = int(np.searchsorted(np.asarray(starts), k, side="right"))
+                pts = repaired[i][b]
+                assessments[i].append(pts[min(block, len(pts)) - 1])
+            else:
+                assessments[i].append(assess[i][b])
+
+    eta = induced_action_distribution(mg, sigma)
+    counts = np.zeros(game.shape, dtype=np.int64)
+    np.add.at(counts, tuple(actions.T), 1)
+    xi = counts / float(T)
+    scores = []
+    for i in range(n):
+        opp_shape = game.opponent_shape(i)
+        rec = ForecastRecord(int(np.prod(opp_shape)))
+        opp_cols = [j for j in range(n) if j != i]
+        flat = np.ravel_multi_index(tuple(actions[:, j] for j in opp_cols), opp_shape)
+        for t in range(T):
+            rec.append(rec.intern(assessments[i][t]), int(flat[t]))
+        scores.append(float(calibration_score(rec).max()))
+    sig_counts = np.zeros(signal_shape, dtype=np.int64)
+    np.add.at(sig_counts, tuple(profiles.T), 1)
+    report = {
+        "horizon": T,
+        "calibration_scores": scores,
+        "action_empirical_sup_distance": float(np.abs(xi - eta.weights).max()),
+        "signal_empirical_sup_distance": float(
+            np.abs(sig_counts / float(T) - mg.mediator.weights).max()
+        ),
+        "collisions_repaired": sum(len(r) for r in repaired),
+    }
+    return profiles, actions, assessments, report
+
+
+def shared_assessment_instance():
+    """Row signals s0 and s1 have equal mediator rows and both play the top
+    row, so they share one assessment and one action; s2 plays the bottom
+    row.  The column conditionals are pairwise distinct."""
+    game = counterexample_game()
+    psi = np.array(
+        [[0.1, 0.1, 0.05, 0.05], [0.1, 0.1, 0.05, 0.05], [0.04, 0.12, 0.08, 0.16]]
+    )
+    mg = MediatedGame(game, (("s0", "s1", "s2"), game.actions[1]), JointDistribution(psi))
+    sigma = RandomizedStrategyProfile((np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.eye(4)))
+    return mg, sigma, None
+
+
+def canonical_instance():
+    _, _, mg, sigma, repair = canonical_replay_instance()
+    return mg, sigma, repair
+
+
+def odd_cycle_instance():
+    mg = identity_mediated_game(counterexample_game(), JointDistribution(odd_cycle_distribution()))
+    return mg, obedient_profile(mg), odd_cycle_repair()
+
+
+REFERENCE_HORIZONS = (1, 2, 3, 17, 64, 101, 1003, 4000, 8000)
+
+
+@pytest.mark.parametrize(
+    "make, T",
+    [(canonical_instance, T) for T in REFERENCE_HORIZONS + (20000,)]
+    + [(odd_cycle_instance, T) for T in REFERENCE_HORIZONS]
+    + [(shared_assessment_instance, T) for T in (1, 17, 1003)],
+)
+def test_replay_matches_per_step_reference(make, T):
+    mg, sigma, repair = make()
+    scripts = construct_calibrated_replay(mg, sigma, T, repair_points=repair)
+    signals, actions, assessments, report = reference_replay(mg, sigma, T, repair)
+    assert np.array_equal(scripts.signals, signals)
+    assert np.array_equal(scripts.actions, actions)
+    for got, want in zip(scripts.assessments, assessments):
+        assert len(got) == T
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert scripts.report == report
+
+
+def test_shared_assessment_is_scored_as_one_forecast():
+    # the two signals' steps are scored together; scoring them as two
+    # forecasts would give another value, so the comparison above sees
+    # how shown assessments are grouped
+    mg, sigma, _ = shared_assessment_instance()
+    T = 1003
+    scripts = construct_calibrated_replay(mg, sigma, T)
+    assert scripts.report["collisions_repaired"] == 0
+    s0, s1 = (signal_assessment(mg, sigma, 0, b).flat() for b in (0, 1))
+    assert s0.tobytes() == s1.tobytes()
+    rec = ForecastRecord(4)
+    for b in range(3):
+        rec.dictionary.append(signal_assessment(mg, sigma, 0, b).flat())
+    for b, col in zip(scripts.signals[:, 0].tolist(), scripts.actions[:, 1].tolist()):
+        rec.append(b, col)
+    assert float(calibration_score(rec).max()) != scripts.report["calibration_scores"][0]
