@@ -68,7 +68,7 @@ def cmd_check(args) -> int:
     try:
         game = game_from_dict(load_json(args.game))
         mu = distribution_from_dict(load_json(args.dist))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
         return _fail(f"cannot parse input: {e}", 2)
     if tuple(mu.shape) != game.shape:
         return _fail(
@@ -98,7 +98,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg_doc = load_json(args.config)
         config = RunConfig.from_dict(cfg_doc)
-    except (OSError, json.JSONDecodeError, TypeError, KeyError) as e:
+    except (OSError, json.JSONDecodeError, TypeError, KeyError, ValueError) as e:
         return _fail(f"cannot parse config: {e}", 2)
     if args.out:
         config.out = args.out
@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
 def cmd_replay(args) -> int:
     try:
         mg, sigma, repair = mediated_game_from_dict(load_json(args.game))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
         return _fail(f"cannot parse mediated game: {e}", 2)
     try:
         scripts = construct_calibrated_replay(

@@ -64,7 +64,25 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
         doc.pop("schema_version", None)
-        return cls(**doc)
+        config = cls(**doc)
+        for name, kinds in _CONFIG_TYPES.items():
+            value = getattr(config, name)
+            # JSON true/false would otherwise pass as the ints 1/0
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
+        return config
+
+
+_CONFIG_TYPES = {
+    "scenario": str,
+    "T": int,
+    "seed": int,
+    "forecaster_epsilon": (int, float),
+    "grid_resolution": (int, type(None)),
+    "tol": (int, float),
+    "out": (str, type(None)),
+    "extras": dict,
+}
 
 
 def random_preferences(rng: np.random.Generator, eut: bool = False) -> CptPreferences:
@@ -164,6 +182,8 @@ def _scenario_random_2x2(config: RunConfig) -> dict:
     ex = config.extras
     games = int(ex.get("games", 50))
     dists = int(ex.get("dists", 200))
+    if games < 1 or dists < 1:
+        raise ValueError("random-2x2 needs games >= 1 and dists >= 1")
     resolution = config.grid_resolution or DEFAULT_GRID
     rng = np.random.default_rng(config.seed)
     agree = 0

@@ -16,7 +16,6 @@ the obedient pure strategy profile reproducing the distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ from .equilibrium import (
     DEFAULT_TOL,
     Certificate,
     _conditionals,
-    _region_margin,
     _violation,
     _worst_deviation,
 )
@@ -239,8 +237,9 @@ def construct_mediator(
     supported action of every player.  Signals are action-index pairs; the
     returned strategy profile is the obedient pure one.  The construction
     is verified post hoc: the pushforward reproduces ``mu``, signal
-    marginals factor as marginal times witness weight, and every signal
-    assessment lies in its acceptance region.
+    marginals factor as marginal times witness weight, and
+    ``verify_mediated_nash`` certifies the obedient profile, i.e. every
+    signal assessment lies in its acceptance region.
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
@@ -285,67 +284,42 @@ def construct_mediator(
         tuple(f"{a}#{m}" for a in game.actions[i] for m in range(1, n_idx[i] + 1))
         for i in range(n)
     )
-    signal_shape = tuple(game.num_actions(i) * n_idx[i] for i in range(n))
-    psi = np.zeros(signal_shape)
-
-    shape = game.shape
-    for a in itertools.product(*[range(s) for s in shape]):
+    psi = np.zeros(tuple(game.num_actions(i) * n_idx[i] for i in range(n)))
+    for a in map(tuple, np.argwhere(mu.weights > 0.0).tolist()):
         p_a = mu.weights[a]
-        if p_a <= 0.0:
-            continue
-        conds = []
-        flat_opp = []
+        # the witness-index block of profile a, multiplied in player order
+        block = p_a
         for i in range(n):
-            opp = tuple(a[j] for j in range(n) if j != i)
+            opp = a[:i] + a[i + 1:]
             flat = int(np.ravel_multi_index(opp, game.opponent_shape(i)))
-            flat_opp.append(flat)
-            conds.append(mu.weights[a] / margs[i][a[i]])
-        denom = math.prod(conds)
-        for ms in itertools.product(*[range(n_idx[i]) for i in range(n)]):
-            num = p_a
-            for i in range(n):
-                num *= thetas[i][a[i]][ms[i]] * zetas[i][a[i]][ms[i], flat_opp[i]]
-            if num == 0.0:
-                continue
-            idx = tuple(a[i] * n_idx[i] + ms[i] for i in range(n))
-            psi[idx] = num / denom
+            block = np.multiply.outer(block, thetas[i][a[i]] * zetas[i][a[i]][:, flat])
+        denom = math.prod(p_a / margs[i][a[i]] for i in range(n))
+        psi[tuple(slice(a[i] * n_idx[i], (a[i] + 1) * n_idx[i]) for i in range(n))] = block / denom
 
     mg = MediatedGame(game, signal_labels, JointDistribution(psi))
-    maps = []
-    for i in range(n):
-        m = np.zeros((signal_shape[i], game.num_actions(i)))
-        for a_i in range(game.num_actions(i)):
-            for mi in range(n_idx[i]):
-                m[a_i * n_idx[i] + mi, a_i] = 1.0
-        maps.append(m)
-    sigma = RandomizedStrategyProfile(tuple(maps))
-
-    _check_construction(game, mu, mg, sigma, thetas, margs, n_idx)
+    sigma = RandomizedStrategyProfile(
+        tuple(np.repeat(np.eye(game.num_actions(i)), n_idx[i], axis=0) for i in range(n))
+    )
+    _check_construction(mu, mg, sigma, thetas, margs, n_idx)
     return mg, sigma
 
 
-def _check_construction(game, mu, mg, sigma, thetas, margs, n_idx) -> None:
+def _check_construction(mu, mg, sigma, thetas, margs, n_idx) -> None:
     """Post-hoc guarantees of the reverse construction."""
     eta = induced_action_distribution(mg, sigma)
     if np.max(np.abs(eta.weights - mu.weights)) > 1e-9:
         raise InvalidWitnessError("pushforward of the constructed mediator misses mu")
-    for i in range(game.n):
-        psi_i = mg.signal_marginal(i)
-        for a_i in range(game.num_actions(i)):
-            if margs[i][a_i] <= 0.0:
-                continue
-            for mi in range(n_idx[i]):
-                b_i = a_i * n_idx[i] + mi
-                expected = margs[i][a_i] * thetas[i][a_i][mi]
-                if abs(psi_i[b_i] - expected) > 1e-9:
-                    raise InvalidWitnessError(
-                        f"signal marginal of player {i} misses its witness weight"
-                    )
-                if psi_i[b_i] <= 0.0:
-                    continue
-                pi = signal_assessment(mg, sigma, i, b_i)
-                if _region_margin(game, i, a_i, pi) < -DEFAULT_TOL:
-                    raise InvalidWitnessError(
-                        f"witness point {mi} for player {i} action {a_i} "
-                        "is outside the acceptance region"
-                    )
+    for i in range(mg.base.n):
+        rows = mg.signal_marginal(i).reshape(-1, n_idx[i])
+        for a_i in np.flatnonzero(margs[i] > 0.0):
+            if np.max(np.abs(rows[a_i] - margs[i][a_i] * thetas[i][a_i])) > 1e-9:
+                raise InvalidWitnessError(
+                    f"signal marginal of player {i} misses its witness weight"
+                )
+    cert = verify_mediated_nash(mg, sigma)
+    if not cert.member:
+        i, a_i = cert.witness["player"], cert.witness["action"]
+        raise InvalidWitnessError(
+            f"witness point {cert.witness['signal'] % n_idx[i]} for player {i} "
+            f"action {a_i} is outside the acceptance region"
+        )

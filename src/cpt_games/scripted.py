@@ -14,9 +14,8 @@ The three-player variant gives the column players a coordination payoff so
 that their cyclic play is itself a strict best reaction to calibrated
 point-mass assessments.
 
-Also here: the block-switching adversary used to defeat no-regret play,
-the Monte-Carlo tail probe for its regret lower bound, and the martingale
-diagnostic for within-block empirical balance.
+Also here: the block-switching adversary used to defeat no-regret play
+and the Monte-Carlo tail probe for its regret lower bound.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "regret_tail_probe",
     "probe_strategy_family",
     "wilson_interval",
-    "block_balance_probe",
 ]
 
 ODD_MIX = np.array([0.5, 0.0, 0.5, 0.0])
@@ -344,17 +342,3 @@ def probe_strategy_family(name: str, epsilon: float = 0.1):
     if name == "calibrated":
         return lambda: ForecastingBestReaction(epsilon)
     raise ValueError(f"unknown strategy family {name!r}")
-
-
-def block_balance_probe(l_steps: int, n_seeds: int, seed: int, delta: float = 0.05) -> float:
-    """Frequency of near-equal within-block empirical frequencies.
-
-    Draws ``l_steps`` i.i.d. half-half picks between the two odd-phase
-    columns (the row player pinned to the top row) per seed and reports how
-    often the two empirical frequencies differ by less than ``delta``;
-    the martingale concentration bound makes this approach one.
-    """
-    rng = np.random.default_rng(seed)
-    firsts = rng.binomial(l_steps, 0.5, size=n_seeds)
-    gap = np.abs(2.0 * firsts / l_steps - 1.0)
-    return float((gap < delta).mean())

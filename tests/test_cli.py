@@ -11,6 +11,7 @@ from cpt_games.fileio import (
     distribution_to_dict,
     dump_json,
     game_to_dict,
+    load_json,
     mediated_game_to_dict,
 )
 from cpt_games.games import JointDistribution
@@ -106,6 +107,17 @@ class TestCheck:
                      "--dist", str(tmp_path / "corr.json"), "--mode", "nash"])
         assert code == 2  # not of product form
 
+    def test_null_preference_parameter_exits_2(self, files, tmp_path, capsys):
+        doc = load_json(files["game.json"])
+        doc["preferences"][0]["value"] = {
+            "kind": "piecewise-power", "alpha": None, "beta": 0.88, "loss_aversion": 2.25
+        }
+        dump_json(doc, tmp_path / "null_alpha.json")
+        code = main(["check", "--game", str(tmp_path / "null_alpha.json"),
+                     "--dist", files["mu_o.json"], "--mode", "correlated"])
+        assert code == 2
+        assert "cannot parse input" in capsys.readouterr().err
+
     def test_shape_mismatch_exits_3(self, files, tmp_path, capsys):
         dump_json(
             distribution_to_dict(JointDistribution(np.full((2, 2), 0.25))),
@@ -132,6 +144,13 @@ class TestSimulate:
         [
             {"scenario": "example1-2p", "T": 2},  # shorter than one cycle
             {"scenario": "example2", "extras": {"runs": 0}},
+            {"scenario": "example1-2p", "T": "64"},  # wrongly typed fields
+            {"scenario": "example1-2p", "T": 64.5},
+            {"scenario": "example1-2p", "tol": "x"},
+            {"scenario": "example1-2p", "extras": None},
+            {"scenario": "example1-2p", "T": 64, "seed": True},  # a bool is not an int
+            {"scenario": "random-2x2", "extras": {"games": 0}},
+            {"scenario": "random-2x2", "extras": {"dists": 0}},
         ],
     )
     def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):
@@ -166,6 +185,16 @@ class TestReplay:
     def test_collision_exits_5(self, files, capsys):
         code = main(["replay", "--game", files["mediated_bare.json"], "--steps", "100"])
         assert code == 5
+
+    def test_null_preference_parameter_exits_2(self, files, tmp_path, capsys):
+        doc = load_json(files["mediated.json"])
+        doc["game"]["preferences"][0]["value"] = {
+            "kind": "piecewise-power", "alpha": None, "beta": 0.88, "loss_aversion": 2.25
+        }
+        dump_json(doc, tmp_path / "null_alpha.json")
+        code = main(["replay", "--game", str(tmp_path / "null_alpha.json"), "--steps", "100"])
+        assert code == 2
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_massless_mediator_exits_2(self, files, capsys):
         code = main(["replay", "--game", files["mediated_massless.json"], "--steps", "100"])

@@ -7,7 +7,6 @@ from cpt_games.cpt import evaluate_weight
 from cpt_games.scripted import (
     BlockSchedule,
     block_adversary,
-    block_balance_probe,
     counterexample_game,
     counterexample_game_3p,
     probe_strategy_family,
@@ -139,10 +138,6 @@ class TestTailProbe:
 
 
 class TestDiagnostics:
-    def test_block_balance_probability(self):
-        freq = block_balance_probe(10_000, n_seeds=200, seed=3, delta=0.05)
-        assert freq >= 0.95
-
     def test_wilson_interval_shrinks(self):
         lo1, hi1 = wilson_interval(10, 20)
         lo2, hi2 = wilson_interval(100, 200)
