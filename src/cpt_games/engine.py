@@ -1,20 +1,29 @@
 """Repeated-game engine: strategies, traces, and CPT regret tracking.
 
-One run plays a stage game for T steps.  At each step every player's
-strategy produces a mixed action (possibly after drawing an assessment of
-the opponents), the engine samples actions, and everyone observes the full
-profile.  Randomness is counter-based: player i at step t draws from the
-Philox block at counter t + 1 of a stream keyed by (seed, i), so traces
-are bit-reproducible regardless of evaluation order and the players' draws
-are mutually independent.  A block holds four 64-bit words, which the
-strategy's own draws and the engine's action draw share, so a strategy
-draws at most three words a step.
+One run plays a stage game for T steps.  A strategy either plans or reads
+history.  A planning strategy (``Strategy.plan``) ignores history: it hands
+the engine the mixed actions of all T steps, and the assessments of the
+opponents that produced them, before play starts; the engine samples all
+of its actions at once and never calls its ``observe``.  Only strategies
+whose ``plan`` returns None go through the step loop: at each step they
+produce a mixed action (possibly after drawing an assessment), the engine
+samples their actions, and they observe the full profile.
+
+Randomness is counter-based: player i at step t draws from the Philox
+block at counter t + 1 of a stream keyed by (seed, i), so traces are
+bit-reproducible regardless of evaluation order and the players' draws are
+mutually independent.  A block holds four 64-bit words.  A planned player's
+action at step t compares the first word of block t + 1, as a uniform
+(x >> 11) * 2**-53, with its cumulative mix; those words are read
+``PLAN_BLOCK_STEPS`` steps at a time.  A player in the step loop shares the
+block between its strategy's own draws and the action draw, so such a
+strategy draws at most three words a step.
 
 The trace logs actions, per-player assessment ids into the dictionary of
 one ``ForecastRecord`` per player, and checkpoints of the empirical joint
 distribution and the CPT regret matrices at powers of two.  Checkpoints are
-computed from integer counts, so recomputing them from the action log is
-exact.
+computed from integer counts of the action log, so recomputing them from a
+trace is exact.
 """
 
 from __future__ import annotations
@@ -44,27 +53,69 @@ __all__ = [
     "max_calibration_score",
 ]
 
+# Steps a planned player's randomness and per-step script calls are taken
+# in at a time, so temporaries stay bounded at any horizon.
+PLAN_BLOCK_STEPS = 4096
+
 
 class Strategy:
     """Behavioral interface: (game, player, history) -> mixed action.
 
     ``start`` resets all internal state so a strategy object can be reused
-    across runs; ``mix`` returns the step's mixed action and, optionally,
-    the assessment vector over opponent profiles that produced it;
-    ``observe`` shows the realized profile.  All randomization must come
-    from the engine-supplied generator.
+    across runs.  ``plan(T)`` returns the (T, |A_i|) mixed actions of steps
+    1..T and the (T, d) assessments over opponent profiles that produced
+    them (None if the strategy logs none).  A planning strategy ignores
+    history, and the engine does not call its ``observe``.  The default
+    ``plan`` returns None, which means the strategy needs history: the
+    engine then calls ``mix(t, rng)`` for the step's mixed action and
+    assessment and ``observe`` to show the realized profile, and all
+    randomization must come from the engine-supplied generator.  The
+    default ``mix`` reads step t off the plan.
     """
 
     def start(self, game: Game, player: int, horizon: int) -> None:
         self.game = game
         self.player = player
         self.horizon = horizon
+        self._planned = None
+
+    def plan(self, T: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+        return None
 
     def mix(self, t: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-        raise NotImplementedError
+        if self._planned is None:
+            self._planned = self.plan(self.horizon)
+            if self._planned is None:
+                raise NotImplementedError("a strategy defines plan or mix")
+        mixes, assess = self._planned
+        return mixes[t - 1], None if assess is None else assess[t - 1]
 
     def observe(self, t: int, profile: tuple[int, ...]) -> None:
         pass
+
+
+def _per_step(fn, T: int, width: int) -> np.ndarray:
+    """(T, width) array of ``fn(t)`` flattened, for t = 1..T."""
+    out = np.empty((T, width))
+    for s in range(0, T, PLAN_BLOCK_STEPS):
+        e = min(s + PLAN_BLOCK_STEPS, T)
+        rows = [fn(t) for t in range(s + 1, e + 1)]
+        out[s:e] = np.array(rows, dtype=float).reshape(e - s, width)
+    return out
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows distinct by their float64 bytes: (first step of each, step -> distinct row).
+
+    Distinct rows are numbered in order of first appearance.
+    """
+    keys = np.ascontiguousarray(rows, dtype=float)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 class FixedMixStrategy(Strategy):
@@ -73,8 +124,8 @@ class FixedMixStrategy(Strategy):
     def __init__(self, mix):
         self._mix = np.asarray(mix, dtype=float)
 
-    def mix(self, t, rng):
-        return self._mix, None
+    def plan(self, T):
+        return np.tile(self._mix, (T, 1)), None
 
 
 class MixScheduleStrategy(Strategy):
@@ -83,8 +134,8 @@ class MixScheduleStrategy(Strategy):
     def __init__(self, schedule):
         self.schedule = schedule
 
-    def mix(self, t, rng):
-        return np.asarray(self.schedule(t), dtype=float), None
+    def plan(self, T):
+        return _per_step(self.schedule, T, self.game.num_actions(self.player)), None
 
 
 class ActionScriptStrategy(Strategy):
@@ -94,43 +145,38 @@ class ActionScriptStrategy(Strategy):
         self.action_at = action_at
         self.assessment_at = assessment_at
 
-    def start(self, game, player, horizon):
-        super().start(game, player, horizon)
-        self._eye = np.eye(game.num_actions(player))
-
-    def mix(self, t, rng):
-        a = int(self.action_at(t))
-        assess = None if self.assessment_at is None else np.asarray(self.assessment_at(t))
-        return self._eye[a], assess
+    def plan(self, T):
+        steps = range(1, T + 1)
+        acts = np.fromiter((int(self.action_at(t)) for t in steps), dtype=np.int64, count=T)
+        mixes = np.eye(self.game.num_actions(self.player))[acts]
+        if self.assessment_at is None:
+            return mixes, None
+        d = self.game.num_opponent_profiles(self.player)
+        return mixes, _per_step(self.assessment_at, T, d)
 
 
 class AssessmentDrivenStrategy(Strategy):
     """Best-reacts to a scripted assessment of the opponents.
 
     ``assessment_at(t)`` returns a distribution over opponent profiles
-    (flat, row-major over the other players).  Best reactions are memoized
-    per distinct assessment, which keeps long scripted runs cheap.
+    (flat, row-major over the other players).  The plan computes one best
+    reaction per distinct assessment, which keeps long scripted runs cheap.
     """
 
     def __init__(self, assessment_at):
         self.assessment_at = assessment_at
 
-    def start(self, game, player, horizon):
-        super().start(game, player, horizon)
-        self._eye = np.eye(game.num_actions(player))
-        self._cache: dict[bytes, int] = {}
-
-    def mix(self, t, rng):
-        assess = np.asarray(self.assessment_at(t), dtype=float).ravel()
-        key = assess.tobytes()
-        a = self._cache.get(key)
-        if a is None:
-            pi = OpponentDistribution(
-                self.player, assess.reshape(self.game.opponent_shape(self.player))
-            )
-            a = best_reaction(self.game, self.player, pi)
-            self._cache[key] = a
-        return self._eye[a], assess
+    def plan(self, T):
+        game, i = self.game, self.player
+        assess = _per_step(self.assessment_at, T, game.num_opponent_profiles(i))
+        first, inverse = _distinct_rows(assess)
+        shape = game.opponent_shape(i)
+        reactions = np.array(
+            [best_reaction(game, i, OpponentDistribution(i, assess[s].reshape(shape)))
+             for s in first],
+            dtype=np.int64,
+        )
+        return np.eye(game.num_actions(i))[reactions[inverse]], assess
 
 
 class ForecastingBestReaction(Strategy):
@@ -205,19 +251,48 @@ class RunTrace:
         return JointDistribution(self.counts(t) / float(t))
 
 
-def _player_rngs(seed: int, n: int):
-    """One Philox generator per player, about to draw the block of step 1.
+def _player_streams(seed: int, n: int) -> list[np.random.Philox]:
+    """One Philox stream per player, about to draw the block of step 1.
 
     A draw from an empty buffer first steps the counter, so a stream started
-    at counter 1 draws step t from block t + 1 as long as every step ends by
+    at counter 1 draws step t from block t + 1: ``random_raw`` reads the
+    blocks in order, and a player in the step loop ends every step by
     dropping the rest of its block (``advance(0)``).
     """
-    pairs = []
+    streams = []
     for i in range(n):
         key = np.random.SeedSequence([int(seed), i]).generate_state(2, dtype=np.uint64)
-        bg = np.random.Philox(counter=[1, 0, 0, 0], key=key)
-        pairs.append((bg, np.random.Generator(bg)))
-    return pairs
+        streams.append(np.random.Philox(counter=[1, 0, 0, 0], key=key))
+    return streams
+
+
+def _planned_actions(bg: np.random.Philox, mixes: np.ndarray) -> np.ndarray:
+    """Sample every step of a plan: the count of cumulative-mix entries at or below u."""
+    T, k = mixes.shape
+    out = np.empty(T, dtype=np.int64)
+    for s in range(0, T, PLAN_BLOCK_STEPS):
+        e = min(s + PLAN_BLOCK_STEPS, T)
+        u = (bg.random_raw(4 * (e - s))[::4] >> np.uint64(11)) * 2.0**-53
+        out[s:e] = (np.cumsum(mixes[s:e], axis=1) <= u[:, None]).sum(axis=1)
+    return np.minimum(out, k - 1, out=out)
+
+
+def _checkpoints(game: Game, actions: np.ndarray) -> list[Checkpoint]:
+    """Empirical joint and regret matrices at powers of two and at the horizon."""
+    T = actions.shape[0]
+    steps = [1 << j for j in range(T.bit_length())]
+    if steps[-1] != T:
+        steps.append(T)
+    flat = np.ravel_multi_index(tuple(actions.T), game.shape)
+    counts = np.zeros(game.shape, dtype=np.int64)
+    cps = []
+    done = 0
+    for t in steps:
+        counts += np.bincount(flat[done:t], minlength=counts.size).reshape(game.shape)
+        done = t
+        regs = tuple(regret_matrix_from_counts(game, i, counts, t) for i in range(game.n))
+        cps.append(Checkpoint(t, counts / float(t), regs))
+    return cps
 
 
 def run_engine(
@@ -233,37 +308,44 @@ def run_engine(
     if T < 1:
         raise ValueError("horizon must be >= 1")
     n = game.n
-    for i, s in enumerate(strategies):
-        s.start(game, i, T)
-    rngs = _player_rngs(seed, n)
-
+    streams = _player_streams(seed, n)
     actions = np.zeros((T, n), dtype=np.int64)
-    mix_log = [np.zeros((T, game.num_actions(i))) for i in range(n)]
+    mix_log = [None] * n
     ids = [np.full(T, -1, dtype=np.int64) for _ in range(n)]
     records = [ForecastRecord(game.num_opponent_profiles(i)) for i in range(n)]
-    counts = np.zeros(game.shape, dtype=np.int64)
-    cps: list[Checkpoint] = []
 
-    for t in range(1, T + 1):
-        profile = []
-        for i, strat in enumerate(strategies):
-            bg, rng = rngs[i]
-            mix, assess = strat.mix(t, rng)
-            mix_log[i][t - 1] = mix
-            a = int(np.searchsorted(np.cumsum(mix), rng.random(), side="right"))
-            profile.append(min(a, mix.size - 1))
-            bg.advance(0)
-            if assess is not None:
-                ids[i][t - 1] = records[i].intern(assess)
-        profile = tuple(profile)
-        actions[t - 1] = profile
-        counts[profile] += 1
-        for i, strat in enumerate(strategies):
-            strat.observe(t, profile)
-        if checkpoints and (t & (t - 1) == 0 or t == T):
-            xi = counts / float(t)
-            regs = tuple(regret_matrix_from_counts(game, i, counts, t) for i in range(n))
-            cps.append(Checkpoint(t, xi, regs))
+    loop = []
+    for i, strat in enumerate(strategies):
+        strat.start(game, i, T)
+        planned = strat.plan(T)
+        if planned is None:
+            mix_log[i] = np.zeros((T, game.num_actions(i)))
+            loop.append((i, strat, streams[i], np.random.Generator(streams[i])))
+            continue
+        mixes, assess = planned
+        if mixes.shape != (T, game.num_actions(i)):
+            raise ValueError(f"player {i}'s plan has mixes of shape {mixes.shape}")
+        mix_log[i] = mixes
+        actions[:, i] = _planned_actions(streams[i], mixes)
+        if assess is not None:
+            first, inverse = _distinct_rows(assess)
+            distinct = [records[i].intern(assess[s]) for s in first]
+            ids[i] = np.array(distinct, dtype=np.int64)[inverse]
+
+    if loop:
+        for t in range(1, T + 1):
+            row = actions[t - 1]
+            for i, strat, bg, rng in loop:
+                mix, assess = strat.mix(t, rng)
+                mix_log[i][t - 1] = mix
+                a = int(np.searchsorted(np.cumsum(mix), rng.random(), side="right"))
+                row[i] = min(a, mix.size - 1)
+                bg.advance(0)
+                if assess is not None:
+                    ids[i][t - 1] = records[i].intern(assess)
+            profile = tuple(row.tolist())
+            for _, strat, _, _ in loop:
+                strat.observe(t, profile)
 
     return RunTrace(
         seed=int(seed),
@@ -272,7 +354,7 @@ def run_engine(
         mixes=mix_log,
         assessment_ids=ids,
         assessment_dicts=[rec.dictionary for rec in records],
-        checkpoints=cps,
+        checkpoints=_checkpoints(game, actions) if checkpoints else [],
     )
 
 

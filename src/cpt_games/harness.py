@@ -67,9 +67,12 @@ class RunConfig:
         config = cls(**doc)
         for name, kinds in _CONFIG_TYPES.items():
             value = getattr(config, name)
-            # JSON true/false would otherwise pass as the ints 1/0
-            if isinstance(value, bool) or not isinstance(value, kinds):
+            if not _has_type(value, kinds):
                 raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
+        extras = config.extras
+        for name, kinds in _EXTRAS_TYPES.get(config.scenario, {}).items():
+            if name in extras and not _has_type(extras[name], kinds):
+                raise ValueError(f"extras entry {name!r} has the wrong type: {extras[name]!r}")
         return config
 
 
@@ -83,6 +86,24 @@ _CONFIG_TYPES = {
     "out": (str, type(None)),
     "extras": dict,
 }
+
+# The extras each scenario reads; ``[kind]`` is a list of that kind.
+_EXTRAS_TYPES = {
+    "example2": {
+        "T_block": int, "k": int, "runs": int, "eps_tilde": (int, float), "families": [str],
+    },
+    "random-2x2": {"games": int, "dists": int},
+    "random": {"sizes": [int], "eut": bool},
+}
+
+
+def _has_type(value, kinds) -> bool:
+    if isinstance(kinds, list):
+        return isinstance(value, (list, tuple)) and all(_has_type(v, kinds[0]) for v in value)
+    # JSON true/false would otherwise pass as the ints 1/0
+    if isinstance(value, bool) and kinds is not bool:
+        return False
+    return isinstance(value, kinds)
 
 
 def random_preferences(rng: np.random.Generator, eut: bool = False) -> CptPreferences:
@@ -159,9 +180,9 @@ def _scenario_example1(config: RunConfig, variant: str) -> dict:
 
 def _scenario_example2(config: RunConfig) -> dict:
     ex = config.extras
-    t_block = int(ex.get("T_block", 5))
-    k = int(ex.get("k", 2))
-    runs = int(ex.get("runs", 200))
+    t_block = ex.get("T_block", 5)
+    k = ex.get("k", 2)
+    runs = ex.get("runs", 200)
     eps_tilde = float(ex.get("eps_tilde", 0.004))
     families = ex.get("families", ["always-top", "always-bottom", "calibrated"])
     out = {}
@@ -180,8 +201,8 @@ def _scenario_example2(config: RunConfig) -> dict:
 
 def _scenario_random_2x2(config: RunConfig) -> dict:
     ex = config.extras
-    games = int(ex.get("games", 50))
-    dists = int(ex.get("dists", 200))
+    games = ex.get("games", 50)
+    dists = ex.get("dists", 200)
     if games < 1 or dists < 1:
         raise ValueError("random-2x2 needs games >= 1 and dists >= 1")
     resolution = config.grid_resolution or DEFAULT_GRID
@@ -214,8 +235,8 @@ def _scenario_random_2x2(config: RunConfig) -> dict:
 
 def _scenario_random(config: RunConfig) -> dict:
     ex = config.extras
-    sizes = tuple(int(s) for s in ex.get("sizes", (2, 2)))
-    eut = bool(ex.get("eut", False))
+    sizes = tuple(ex.get("sizes", (2, 2)))
+    eut = ex.get("eut", False)
     rng = np.random.default_rng(config.seed)
     game = random_game(rng, sizes, eut=eut)
     strategies = [ForecastingBestReaction(config.forecaster_epsilon) for _ in sizes]

@@ -151,6 +151,8 @@ class TestSimulate:
             {"scenario": "example1-2p", "T": 64, "seed": True},  # a bool is not an int
             {"scenario": "random-2x2", "extras": {"games": 0}},
             {"scenario": "random-2x2", "extras": {"dists": 0}},
+            {"scenario": "example2", "extras": {"families": 5}},  # wrongly typed extras
+            {"scenario": "random", "extras": {"sizes": 3}},
         ],
     )
     def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):

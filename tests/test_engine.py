@@ -5,6 +5,7 @@ import pytest
 
 from cpt_games.calibration import ForecastRecord
 from cpt_games.engine import (
+    PLAN_BLOCK_STEPS,
     ActionScriptStrategy,
     AssessmentDrivenStrategy,
     FixedMixStrategy,
@@ -27,6 +28,7 @@ from cpt_games.scripted import (
     block_adversary,
     counterexample_game,
     counterexample_game_3p,
+    probe_strategy_family,
 )
 
 
@@ -201,6 +203,80 @@ def test_run_engine_matches_reference_loop(case):
             assert np.array_equal(cp.xi, xi)
             for got, want in zip(cp.regrets, regrets):
                 assert np.array_equal(got, want)
+
+
+def assert_matches_reference(trace, reference):
+    actions, mixes, ids, dicts, checkpoints = reference
+    assert np.array_equal(trace.actions, actions)
+    for i in range(len(trace.shape)):
+        assert np.array_equal(trace.mixes[i], mixes[i])
+        assert np.array_equal(trace.assessment_ids[i], ids[i])
+        assert len(trace.assessment_dicts[i]) == len(dicts[i])
+        for got, want in zip(trace.assessment_dicts[i], dicts[i]):
+            assert np.array_equal(got, want)
+    assert [cp.t for cp in trace.checkpoints] == [t for t, _, _ in checkpoints]
+    for cp, (_, xi, regrets) in zip(trace.checkpoints, checkpoints):
+        assert np.array_equal(cp.xi, xi)
+        for got, want in zip(cp.regrets, regrets):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", ["always-top", "always-bottom"])
+def test_planned_probe_runs_match_reference_loop(family):
+    # the tail probe's run: both players planned, drawn in one block
+    game = counterexample_game()
+    factory = probe_strategy_family(family)
+    for seed in range(200):
+        make = lambda: [factory(), block_adversary(5)]
+        trace = run_engine(game, make(), 250, seed)
+        assert_matches_reference(trace, reference_run(game, make(), 250, seed))
+
+
+@pytest.mark.parametrize(
+    "case", ["scripted-2p", "scripted-3p", "planned-around-forecaster", "mix-only", "long"]
+)
+def test_planned_play_matches_reference_loop(case):
+    T = 1000  # not a power of two: the last checkpoint is the horizon
+    if case == "scripted-2p":
+        game = counterexample_game()
+        make = lambda: [
+            AssessmentDrivenStrategy(_alternating_assessment_2p),
+            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+        ]
+    elif case == "scripted-3p":
+        game = counterexample_game_3p()
+        make = lambda: [
+            AssessmentDrivenStrategy(_alternating_assessment_3p),
+            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
+            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+        ]
+    elif case == "planned-around-forecaster":
+        # the step loop runs only over the forecaster, between two planned players
+        game = counterexample_game_3p()
+        make = lambda: [FixedMixStrategy([0.3, 0.7]), ForecastingBestReaction(0.25), block_adversary(3)]
+        T = 300
+    elif case == "mix-only":
+        # a strategy that defines only ``mix`` goes through the step loop
+        game = counterexample_game_3p()
+        make = lambda: [EvenStepAssessments(), block_adversary(3), EvenStepAssessments()]
+        T = 300
+    else:
+        # longer than one draw block of the planned players
+        game = counterexample_game()
+        make = lambda: [
+            FixedMixStrategy([0.3, 0.7]),
+            ActionScriptStrategy(lambda t: (t * t) % 4, assessment_at=lambda t: np.eye(2)[t % 3 // 2]),
+        ]
+        T = 2 * PLAN_BLOCK_STEPS + 5
+    for seed in (0, 3):
+        trace = run_engine(game, make(), T, seed)
+        assert_matches_reference(trace, reference_run(game, make(), T, seed))
+
+
+def test_plan_of_the_wrong_shape_is_rejected():
+    game = counterexample_game()
+    with pytest.raises(ValueError, match="plan"):
+        run_engine(game, [FixedMixStrategy([0.2, 0.3, 0.5]), block_adversary(5)], 20, 0)
 
 
 def regret_matrix_by_pairs(game, i, counts, t):
