@@ -278,7 +278,12 @@ def _planned_actions(bg: np.random.Philox, mixes: np.ndarray) -> np.ndarray:
 
 
 def _checkpoints(game: Game, actions: np.ndarray) -> list[Checkpoint]:
-    """Empirical joint and regret matrices at powers of two and at the horizon."""
+    """Empirical joint and regret matrices at powers of two and at the horizon.
+
+    Each is computed once per distinct reduced count vector: counts that are
+    an integer multiple of earlier ones give the same rationals, hence the
+    same correctly rounded xi and regrets, so a repeated state is a copy.
+    """
     T = actions.shape[0]
     steps = [1 << j for j in range(T.bit_length())]
     if steps[-1] != T:
@@ -286,12 +291,19 @@ def _checkpoints(game: Game, actions: np.ndarray) -> list[Checkpoint]:
     flat = np.ravel_multi_index(tuple(actions.T), game.shape)
     counts = np.zeros(game.shape, dtype=np.int64)
     cps = []
+    seen: dict[bytes, Checkpoint] = {}
     done = 0
     for t in steps:
         counts += np.bincount(flat[done:t], minlength=counts.size).reshape(game.shape)
         done = t
-        regs = tuple(regret_matrix_from_counts(game, i, counts, t) for i in range(game.n))
-        cps.append(Checkpoint(t, counts / float(t), regs))
+        key = (counts // np.gcd.reduce(counts, axis=None)).tobytes()
+        cp = seen.get(key)
+        if cp is None:
+            regs = tuple(regret_matrix_from_counts(game, i, counts, t) for i in range(game.n))
+            cp = seen[key] = Checkpoint(t, counts / float(t), regs)
+        else:
+            cp = Checkpoint(t, cp.xi.copy(), tuple(r.copy() for r in cp.regrets))
+        cps.append(cp)
     return cps
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cpt import Lottery, preferences_from_dict, preferences_to_dict
-from .engine import RunTrace
+from .engine import RunTrace, _distinct_rows
 from .games import Game, JointDistribution
 from .mediated import MediatedGame, RandomizedStrategyProfile
 
@@ -130,8 +130,24 @@ def mediated_game_from_dict(
 
 
 def write_trace_jsonl(trace: RunTrace, path: str | Path) -> None:
-    """One record per step; checkpoint records carry the empirical state."""
+    """One record per step; checkpoint records carry the empirical state.
+
+    Every line is ``json.dumps(record, sort_keys=True)``, assembled from its
+    pieces in that key order (a, assessments, checkpoint, mixes, t): each
+    player's distinct mix rows are rendered once, and a list of Python ints
+    prints as its JSON.
+    """
     cp_by_t = {cp.t: cp for cp in trace.checkpoints}
+    mixes = []
+    for m in trace.mixes:
+        first, inverse = _distinct_rows(m)
+        rendered = [json.dumps(row) for row in m[first].tolist()]
+        mixes.append([rendered[k] for k in inverse.tolist()])
+    steps = zip(
+        trace.actions.tolist(),
+        np.stack(trace.assessment_ids, axis=1).tolist(),
+        zip(*mixes),
+    )
     with open(path, "w") as fh:
         header = {
             "schema_version": SCHEMA_VERSION,
@@ -143,17 +159,13 @@ def write_trace_jsonl(trace: RunTrace, path: str | Path) -> None:
             ],
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for t in range(1, trace.horizon + 1):
-            rec = {
-                "t": t,
-                "a": trace.actions[t - 1].tolist(),
-                "assessments": [int(ids[t - 1]) for ids in trace.assessment_ids],
-                "mixes": [m[t - 1].tolist() for m in trace.mixes],
-            }
+        for t, (a, ids, mix) in enumerate(steps, start=1):
             cp = cp_by_t.get(t)
+            checkpoint = ""
             if cp is not None:
-                rec["checkpoint"] = {
-                    "xi": cp.xi.ravel().tolist(),
-                    "regrets": [r.tolist() for r in cp.regrets],
-                }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                doc = {"xi": cp.xi.ravel().tolist(), "regrets": [r.tolist() for r in cp.regrets]}
+                checkpoint = f'"checkpoint": {json.dumps(doc, sort_keys=True)}, '
+            fh.write(
+                f'{{"a": {a}, "assessments": {ids}, {checkpoint}'
+                f'"mixes": [{", ".join(mix)}], "t": {t}}}\n'
+            )

@@ -69,10 +69,12 @@ class RunConfig:
             value = getattr(config, name)
             if not _has_type(value, kinds):
                 raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
-        extras = config.extras
-        for name, kinds in _EXTRAS_TYPES.get(config.scenario, {}).items():
-            if name in extras and not _has_type(extras[name], kinds):
-                raise ValueError(f"extras entry {name!r} has the wrong type: {extras[name]!r}")
+        known = _EXTRAS_TYPES.get(config.scenario, {})
+        for name, value in config.extras.items():
+            if name not in known:
+                raise ValueError(f"scenario {config.scenario!r} reads no extras entry {name!r}")
+            if not _has_type(value, known[name]):
+                raise ValueError(f"extras entry {name!r} has the wrong type: {value!r}")
         return config
 
 
@@ -87,7 +89,7 @@ _CONFIG_TYPES = {
     "extras": dict,
 }
 
-# The extras each scenario reads; ``[kind]`` is a list of that kind.
+# The extras each scenario reads, and no others; ``[kind]`` is a list of that kind.
 _EXTRAS_TYPES = {
     "example2": {
         "T_block": int, "k": int, "runs": int, "eps_tilde": (int, float), "families": [str],

@@ -234,12 +234,13 @@ def construct_mediator(
 
     ``witnesses[(i, a_i)]`` lists (weight, region point) pairs whose convex
     combination equals the conditional of ``mu`` given a_i, for every
-    supported action of every player.  Signals are action-index pairs; the
-    returned strategy profile is the obedient pure one.  The construction
-    is verified post hoc: the pushforward reproduces ``mu``, signal
-    marginals factor as marginal times witness weight, and
-    ``verify_mediated_nash`` certifies the obedient profile, i.e. every
-    signal assessment lies in its acceptance region.
+    supported action of every player; each point is a probability vector
+    on the conditional's support, within ``WITNESS_MIX_TOL``.  Signals are
+    action-index pairs; the returned strategy profile is the obedient pure
+    one.  The construction is verified post hoc: the pushforward
+    reproduces ``mu``, signal marginals factor as marginal times witness
+    weight, and ``verify_mediated_nash`` certifies the obedient profile,
+    i.e. every signal assessment lies in its acceptance region.
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
@@ -259,6 +260,17 @@ def construct_mediator(
             raise InvalidWitnessError(
                 f"weights for player {i} action {a_i} are not a distribution"
             )
+        c = target.flat()
+        for k, z in enumerate(zs):
+            if np.any(z < -WITNESS_MIX_TOL):
+                raise InvalidWitnessError(
+                    f"witness point {k} for player {i} action {a_i} has a negative entry"
+                )
+            if z[c == 0.0].sum() > WITNESS_MIX_TOL:
+                raise InvalidWitnessError(
+                    f"witness point {k} for player {i} action {a_i} puts mass off "
+                    "the support of the conditional"
+                )
         th = np.clip(th, 0.0, None)
         th = th / th.sum()
         if th.size > n_idx[i]:
@@ -268,7 +280,7 @@ def construct_mediator(
                 f"witness for player {i} action {a_i} needs more than "
                 f"{n_idx[i]} points after reduction"
             )
-        if np.max(np.abs(zs.T @ th - target.flat())) > WITNESS_MIX_TOL:
+        if np.max(np.abs(zs.T @ th - c)) > WITNESS_MIX_TOL:
             raise InvalidWitnessError(
                 f"witness mixture for player {i} action {a_i} misses the conditional"
             )

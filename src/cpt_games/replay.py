@@ -20,6 +20,7 @@ having no isolated points, which is not checkable numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +83,19 @@ def _quota_schedule(psi: JointDistribution, T: int) -> np.ndarray:
     """
     weights = psi.flat()
     support = np.flatnonzero(weights > 0.0)
-    w = weights[support]
-    counts = np.zeros(support.size)
-    out = np.empty(T, dtype=np.int64)
+    w = weights[support].tolist()
+    counts = [0.0] * len(w)
+    picks = []
     for t in range(1, T + 1):
-        deficit = t * w - counts
-        pick = int(np.argmax(deficit))
-        counts[pick] += 1
-        out[t - 1] = support[pick]
-    return out
+        # the first largest deficit t * w - counts, as np.argmax would pick it
+        best, pick = -math.inf, 0
+        for k, (w_k, c_k) in enumerate(zip(w, counts)):
+            deficit = t * w_k - c_k
+            if deficit > best:
+                best, pick = deficit, k
+        counts[pick] += 1.0
+        picks.append(pick)
+    return support[picks]
 
 
 def _assessment_key(vec: np.ndarray) -> bytes:

@@ -41,7 +41,7 @@ from .engine import (
 from .equilibrium import (
     DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq, mediated_hull_distance,
 )
-from .games import Game
+from .games import Game, JointDistribution
 
 __all__ = [
     "ODD_MIX",
@@ -189,19 +189,16 @@ def scripted_cycle_run(
     corr = check_correlated_eq(game, xi)
     region_cache: dict = {}
     med = check_mediated_eq(game, xi, resolution=resolution, tol=tol, region_cache=region_cache)
-    distances = [
-        (
-            cp.t,
-            mediated_hull_distance(
-                game,
-                trace.empirical(cp.t),
-                resolution=resolution,
-                tol=tol,
+    # proportional checkpoints share their xi bit for bit: one hull check each
+    by_xi: dict[bytes, float] = {}
+    for cp in trace.checkpoints:
+        key = cp.xi.tobytes()
+        if key not in by_xi:
+            by_xi[key] = mediated_hull_distance(
+                game, JointDistribution(cp.xi), resolution=resolution, tol=tol,
                 region_cache=region_cache,
-            ),
-        )
-        for cp in trace.checkpoints
-    ]
+            )
+    distances = [(cp.t, by_xi[cp.xi.tobytes()]) for cp in trace.checkpoints]
     report = {
         "variant": variant,
         "horizon": T,
@@ -243,13 +240,10 @@ class BlockSchedule:
             return "odd"
         if t == 2:
             return "even"
-        k = 0
-        while True:
-            if 2 * self.T**k < t <= self.T ** (k + 1):
-                return "odd"
-            if self.T ** (k + 1) < t <= 2 * self.T ** (k + 1):
-                return "even"
-            k += 1
+        top = self.T  # T^(k+1) of the block k holding t: 2 T^k < t <= 2 T^(k+1)
+        while 2 * top < t:
+            top *= self.T
+        return "odd" if t <= top else "even"
 
     def mix(self, t: int) -> np.ndarray:
         return ODD_MIX if self.phase(t) == "odd" else EVEN_MIX

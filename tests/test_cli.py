@@ -153,6 +153,8 @@ class TestSimulate:
             {"scenario": "random-2x2", "extras": {"dists": 0}},
             {"scenario": "example2", "extras": {"families": 5}},  # wrongly typed extras
             {"scenario": "random", "extras": {"sizes": 3}},
+            {"scenario": "random", "T": 10, "extras": {"size": [2, 2, 2]}},  # misspelled key
+            {"scenario": "example1-2p", "extras": {"runs": 3}},  # reads no extras
         ],
     )
     def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):

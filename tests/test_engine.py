@@ -85,6 +85,31 @@ class TestRunEngine:
         trace = run_engine(g, strategies, 4000, 0)
         assert np.abs(trace.empirical().weights - mu_star.weights).max() < 1e-3
 
+    @pytest.mark.parametrize("period", [1, 2, 4])
+    def test_proportional_checkpoints_equal_fresh_computation(self, period):
+        # periodic play repeats the reduced count vector at every checkpoint
+        # that is a multiple of the period; those share one computation
+        g = random_game(np.random.default_rng(21), (4, 4))
+        strategies = [
+            ActionScriptStrategy(lambda t: (t - 1) % period),
+            ActionScriptStrategy(lambda t: ((t - 1) // 2) % 2 * 3),
+        ]
+        # 3001 is no multiple of 4: the horizon has the support of t = 2048
+        # but other proportions
+        trace = run_engine(g, strategies, 3001, 1)
+        for cp in trace.checkpoints:
+            counts = trace.counts(cp.t)
+            assert np.array_equal(cp.xi, counts / float(cp.t))
+            for i in range(g.n):
+                assert np.array_equal(cp.regrets[i], regret_matrix_from_counts(g, i, counts, cp.t))
+        arrays = [cp.xi for cp in trace.checkpoints]
+        arrays += [r for cp in trace.checkpoints for r in cp.regrets]
+        assert not any(
+            np.shares_memory(x, y) for k, x in enumerate(arrays) for y in arrays[k + 1:]
+        )
+        distinct = {cp.xi.tobytes() for cp in trace.checkpoints}
+        assert len(distinct) < len(trace.checkpoints)
+
     def test_checkpoints_match_recomputation(self):
         rng = np.random.default_rng(13)
         g = random_game(rng, (2, 2, 2))

@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from cpt_games.engine import ActionScriptStrategy, FixedMixStrategy, run_engine
+from cpt_games.engine import (
+    ActionScriptStrategy,
+    FixedMixStrategy,
+    ForecastingBestReaction,
+    run_engine,
+)
 from cpt_games.fileio import (
     distribution_from_dict,
     distribution_to_dict,
@@ -19,7 +24,7 @@ from cpt_games.fileio import (
     write_trace_jsonl,
 )
 from cpt_games.harness import canonical_replay_instance, random_game
-from cpt_games.scripted import counterexample_game
+from cpt_games.scripted import block_adversary, counterexample_game, scripted_cycle_run
 
 
 class TestGameDocuments:
@@ -102,3 +107,75 @@ class TestTraceFiles:
         assert len(steps[0]["mixes"][1]) == 4
         xi = np.array(steps[-1]["checkpoint"]["xi"]).reshape(2, 4)
         assert np.abs(xi - trace.empirical().weights).max() < 1e-12
+
+
+def reference_write_trace_jsonl(trace, path):
+    """Frozen per-step writer: one ``json.dumps(record, sort_keys=True)`` per line."""
+    cp_by_t = {cp.t: cp for cp in trace.checkpoints}
+    with open(path, "w") as fh:
+        header = {
+            "schema_version": 1,
+            "seed": trace.seed,
+            "shape": list(trace.shape),
+            "horizon": trace.horizon,
+            "assessment_dictionaries": [
+                [v.tolist() for v in d] for d in trace.assessment_dicts
+            ],
+        }
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for t in range(1, trace.horizon + 1):
+            rec = {
+                "t": t,
+                "a": trace.actions[t - 1].tolist(),
+                "assessments": [int(ids[t - 1]) for ids in trace.assessment_ids],
+                "mixes": [m[t - 1].tolist() for m in trace.mixes],
+            }
+            cp = cp_by_t.get(t)
+            if cp is not None:
+                rec["checkpoint"] = {
+                    "xi": cp.xi.ravel().tolist(),
+                    "regrets": [r.tolist() for r in cp.regrets],
+                }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _cycle(variant, T):
+    return lambda: scripted_cycle_run(variant, T, resolution=6)[0]
+
+
+def _forecaster_vs_adversary(checkpoints):
+    def run():
+        strategies = [ForecastingBestReaction(0.1), block_adversary(3)]
+        return run_engine(counterexample_game(), strategies, 300, 4, checkpoints=checkpoints)
+
+    return run
+
+
+def _fixed_mixes_2x3x2():
+    rng = np.random.default_rng(2)
+    game = random_game(rng, (2, 3, 2))
+    strategies = [FixedMixStrategy(rng.dirichlet(np.ones(k))) for k in (2, 3, 2)]
+    return run_engine(game, strategies, 777, 5)
+
+
+TRACE_CASES = {
+    "cycle-2p-4000": _cycle("2p", 4000),
+    "cycle-3p-2000": _cycle("3p", 2000),
+    "cycle-2p-1023": _cycle("2p", 1023),
+    "forecaster-checkpoints": _forecaster_vs_adversary(True),
+    "forecaster-no-checkpoints": _forecaster_vs_adversary(False),
+    "fixed-mixes-2x3x2": _fixed_mixes_2x3x2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_trace_bytes_match_per_step_writer(case, tmp_path):
+    trace = TRACE_CASES[case]()
+    write_trace_jsonl(trace, tmp_path / "got.jsonl")
+    reference_write_trace_jsonl(trace, tmp_path / "want.jsonl")
+    got, want = (tmp_path / "got.jsonl").read_bytes(), (tmp_path / "want.jsonl").read_bytes()
+    assert got == want
+    if case == "fixed-mixes-2x3x2":
+        assert all(np.all(ids == -1) for ids in trace.assessment_ids)
+    if case == "forecaster-no-checkpoints":
+        assert b'"checkpoint"' not in got

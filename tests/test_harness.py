@@ -1,8 +1,12 @@
 """Scenario catalog, run configs, and generators."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+from cpt_games import harness
 from cpt_games.harness import (
     RunConfig,
     SCENARIOS,
@@ -23,6 +27,26 @@ class TestRunConfig:
     def test_defaults_filled(self):
         cfg = RunConfig.from_dict({"scenario": "random"})
         assert cfg.T == 4000 and cfg.seed == 0
+
+    @pytest.mark.parametrize(
+        "scenario, extras, bad",
+        [
+            ("random", {"size": [2, 2, 2]}, "size"),
+            ("example2", {"runs": 3, "T_blocks": 3}, "T_blocks"),
+            ("example1-2p", {"runs": 3}, "runs"),
+            ("replay-canonical", {"T_block": 3}, "T_block"),
+        ],
+    )
+    def test_unknown_extras_key_rejected(self, scenario, extras, bad):
+        with pytest.raises(ValueError, match=f"^scenario '{scenario}' reads no extras entry '{bad}'$"):
+            RunConfig.from_dict({"scenario": scenario, "extras": extras})
+
+    def test_every_extras_key_read_is_declared(self):
+        # each scenario accepts exactly the keys it reads with ex.get(...)
+        source = inspect.getsource(harness)
+        read = set(re.findall(r'ex\.get\("(\w+)"', source))
+        declared = {k for keys in harness._EXTRAS_TYPES.values() for k in keys}
+        assert read == declared
 
 
 class TestGenerators:

@@ -160,6 +160,33 @@ class TestConstructMediator:
         with pytest.raises(InvalidWitnessError):
             construct_mediator(game, mu_star, bad)
 
+    def test_negative_witness_entry_rejected(self, game, mu_star):
+        # the two points mix to the top row's conditional exactly, but each
+        # has an entry of -1e-3
+        shift = 1e-3 * np.array([1.0, -1.0, 0.0, 0.0])
+        bad = star_witnesses(mu_star)
+        bad[(0, 0)] = [(0.5, ODD_MIX + shift), (0.5, EVEN_MIX - shift)]
+        with pytest.raises(
+            InvalidWitnessError,
+            match=r"^witness point 0 for player 0 action 0 has a negative entry$",
+        ):
+            construct_mediator(game, mu_star, bad)
+
+    def test_witness_mass_off_the_support_rejected(self, game, mu_star):
+        # mu_star's bottom row is empty, so each column's conditional is the
+        # point mass on the top row; the list mixes to it within
+        # WITNESS_MIX_TOL, but its second point puts 0.005 on the bottom row
+        bad = star_witnesses(mu_star)
+        bad[(1, 2)] = [(1 - 1e-4, np.array([1.0, 0.0])), (1e-4, np.array([0.995, 0.005]))]
+        with pytest.raises(
+            InvalidWitnessError,
+            match=r"^witness point 1 for player 1 action 2 puts mass off the support "
+            r"of the conditional$",
+        ):
+            construct_mediator(game, mu_star, bad)
+        bad[(1, 2)] = [(1 - 1e-4, np.array([1.0, 0.0])), (1e-4, np.array([1.0, 0.0]))]
+        construct_mediator(game, mu_star, bad)
+
     def test_off_region_witness_rejected(self, game, mu_o, mu_odd, mu_unif):
         # the uniform mix is not in the top row's acceptance region, so a
         # "witness" placing mass on it must fail the post-hoc check

@@ -267,3 +267,39 @@ def test_shared_assessment_is_scored_as_one_forecast():
     for b, col in zip(scripts.signals[:, 0].tolist(), scripts.actions[:, 1].tolist()):
         rec.append(b, col)
     assert float(calibration_score(rec).max()) != scripts.report["calibration_scores"][0]
+
+
+def reference_quota_schedule(weights, T):
+    """The largest-deficit schedule with one ``np.argmax`` per step."""
+    support = np.flatnonzero(weights > 0.0)
+    w = weights[support]
+    counts = np.zeros(support.size)
+    out = np.empty(T, dtype=np.int64)
+    for t in range(1, T + 1):
+        pick = int(np.argmax(t * w - counts))
+        counts[pick] += 1
+        out[t - 1] = support[pick]
+    return out
+
+
+def _quota_cases():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        d = int(rng.integers(1, 25))
+        w = rng.dirichlet(np.full(d, 0.5))
+        w[rng.random(d) < 0.4] = 0.0
+        if not w.any():
+            w[rng.integers(d)] = 1.0
+        yield w / w.sum(), int(rng.integers(1, 3002))
+    # exact ties: equal weights and weights that are sums of powers of two
+    for d in (1, 2, 3, 4, 7, 8, 16):
+        yield np.full(d, 1.0 / d), 3001
+    yield np.array([0.5, 0.25, 0.0, 0.125, 0.125]), 3001
+    yield np.array([0.375, 0.375, 0.25, 0.0]), 3001
+
+
+def test_quota_schedule_matches_argmax_reference():
+    for weights, T in _quota_cases():
+        got = _quota_schedule(JointDistribution(weights), T)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_quota_schedule(weights, T))

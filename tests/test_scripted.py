@@ -1,9 +1,12 @@
 """Counterexample game builders, scripted runs, block adversary, probes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cpt_games.cpt import evaluate_weight
+from cpt_games.equilibrium import mediated_hull_distance
 from cpt_games.scripted import (
     BlockSchedule,
     block_adversary,
@@ -64,6 +67,16 @@ class TestScriptedCycleRun:
         assert report["mediated_verdict"] == "member"
         assert max(report["calibration_scores"]) <= 0.01
 
+    @pytest.mark.parametrize("variant, T", [("2p", 4000), ("2p", 1023), ("3p", 2000)])
+    def test_hull_distances_equal_per_checkpoint_recomputation(self, variant, T):
+        trace, report = scripted_cycle_run(variant, T, resolution=6)
+        game = counterexample_game() if variant == "2p" else counterexample_game_3p()
+        want = [
+            (cp.t, mediated_hull_distance(game, trace.empirical(cp.t), resolution=6))
+            for cp in trace.checkpoints
+        ]
+        assert json.dumps(report["hull_distances"]) == json.dumps(want)  # -0.0 too
+
     def test_rejects_tiny_horizon(self):
         with pytest.raises(ValueError):
             scripted_cycle_run("2p", 2)
@@ -93,6 +106,23 @@ class TestBlockSchedule:
             for k in (0, 1, 2):
                 f2 = sched.even_fraction(2 * T ** (k + 1))
                 assert 0.5 <= f2 <= 0.5 + 1.0 / T
+
+    def test_phase_matches_block_definition(self):
+        # block k: odd on (2 T^k, T^(k+1)], even on (T^(k+1), 2 T^(k+1)]
+        def reference_phase(T, t):
+            if t <= 2:
+                return "odd" if t == 1 else "even"
+            k = 0
+            while True:
+                if 2 * T**k < t <= T ** (k + 1):
+                    return "odd"
+                if T ** (k + 1) < t <= 2 * T ** (k + 1):
+                    return "even"
+                k += 1
+
+        for T in (3, 4, 5, 7):
+            sched = BlockSchedule(T)
+            assert all(sched.phase(t) == reference_phase(T, t) for t in range(1, 20000))
 
     def test_rejects_small_base(self):
         with pytest.raises(ValueError):
