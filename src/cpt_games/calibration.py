@@ -64,6 +64,22 @@ class ForecastRecord:
             self.dictionary.append(np.asarray(vector, dtype=float).copy())
         return idx
 
+    @classmethod
+    def from_steps(cls, n_outcomes: int, vectors, ids: np.ndarray, outcomes: np.ndarray) -> ForecastRecord:
+        """Record of the steps s that forecast ``vectors[ids[s]]`` and saw ``outcomes[s]``.
+
+        Vectors are interned in order of first use, so the record's ids, and
+        the order ``calibration_score`` sums in, follow the steps.
+        """
+        rec = cls(n_outcomes)
+        if len(outcomes) and not 0 <= outcomes.min() <= outcomes.max() < n_outcomes:
+            raise ValueError("outcome index out of range")
+        steps = ids.tolist()
+        remap = {k: rec.intern(vectors[k]) for k in dict.fromkeys(steps)}
+        rec.forecasts = [remap[k] for k in steps]
+        rec.outcomes = outcomes.tolist()
+        return rec
+
     def append(self, forecast_id: int, outcome: int) -> None:
         if not 0 <= forecast_id < len(self.dictionary):
             raise ValueError("forecast id not in the dictionary")
@@ -219,11 +235,11 @@ class CalibratedForecaster:
         p /= s
         return p
 
-    def predict(self, rng: np.random.Generator) -> int:
-        """Sample the next forecast; returns its grid index."""
+    def predict(self, u: float) -> int:
+        """Sample the next forecast at a uniform u in [0, 1); returns its grid index."""
         p = self._invariant_play()
         self._play = p
-        k = int(p.cumsum().searchsorted(rng.random(), side="right"))
+        k = int(p.cumsum().searchsorted(u, side="right"))
         self._last = min(k, p.size - 1)
         return self._last
 

@@ -3,21 +3,19 @@
 One run plays a stage game for T steps.  A strategy either plans or reads
 history.  A planning strategy (``Strategy.plan``) ignores history: it hands
 the engine the mixed actions of all T steps, and the assessments of the
-opponents that produced them, before play starts; the engine samples all
-of its actions at once and never calls its ``observe``.  Only strategies
-whose ``plan`` returns None go through the step loop: at each step they
-produce a mixed action (possibly after drawing an assessment), the engine
-samples their actions, and they observe the full profile.
+opponents that produced them, before play starts; the engine samples its
+actions a block of steps at a time and never calls its ``observe``.  Only
+strategies whose ``plan`` returns None go through the step loop: at each
+step they produce a mixed action (possibly after drawing an assessment),
+the engine samples their actions, and they observe the full profile.
 
-Randomness is counter-based: player i at step t draws from the Philox
-block at counter t + 1 of a stream keyed by (seed, i), so traces are
-bit-reproducible regardless of evaluation order and the players' draws are
-mutually independent.  A block holds four 64-bit words.  A planned player's
-action at step t compares the first word of block t + 1, as a uniform
-(x >> 11) * 2**-53, with its cumulative mix; those words are read
-``PLAN_BLOCK_STEPS`` steps at a time.  A player in the step loop shares the
-block between its strategy's own draws and the action draw, so such a
-strategy draws at most three words a step.
+Randomness is counter-based: player i at step t reads the four 64-bit
+words of the Philox block at counter t + 1 of a stream keyed by (seed, i),
+as uniforms (x >> 11) * 2**-53, ``PLAN_BLOCK_STEPS`` steps at a time, so
+traces are bit-reproducible regardless of evaluation order and the
+players' draws are mutually independent.  A step-loop strategy receives
+words 0..draws-1 (``Strategy.draws``, at most three), and its action is
+sampled from word ``draws``; a planned player's action, from word 0.
 
 The trace logs actions, per-player assessment ids into the dictionary of
 one ``ForecastRecord`` per player, and checkpoints of the empirical joint
@@ -53,8 +51,8 @@ __all__ = [
     "max_calibration_score",
 ]
 
-# Steps a planned player's randomness and per-step script calls are taken
-# in at a time, so temporaries stay bounded at any horizon.
+# Steps every player's Philox blocks and per-step script calls are taken in
+# at a time, so temporaries stay bounded at any horizon.
 PLAN_BLOCK_STEPS = 4096
 
 
@@ -67,28 +65,23 @@ class Strategy:
     them (None if the strategy logs none).  A planning strategy ignores
     history, and the engine does not call its ``observe``.  The default
     ``plan`` returns None, which means the strategy needs history: the
-    engine then calls ``mix(t, rng)`` for the step's mixed action and
-    assessment and ``observe`` to show the realized profile, and all
-    randomization must come from the engine-supplied generator.  The
-    default ``mix`` reads step t off the plan.
+    engine then calls ``mix(t, u)`` for the step's mixed action and
+    assessment and ``observe`` to show the realized profile.  ``u`` holds
+    the ``draws`` uniforms in [0, 1) of the step, the strategy's only
+    randomness; ``draws`` is a class constant from 0 to 3.
     """
+
+    draws = 0
 
     def start(self, game: Game, player: int, horizon: int) -> None:
         self.game = game
         self.player = player
-        self.horizon = horizon
-        self._planned = None
 
     def plan(self, T: int) -> tuple[np.ndarray, np.ndarray | None] | None:
         return None
 
-    def mix(self, t: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-        if self._planned is None:
-            self._planned = self.plan(self.horizon)
-            if self._planned is None:
-                raise NotImplementedError("a strategy defines plan or mix")
-        mixes, assess = self._planned
-        return mixes[t - 1], None if assess is None else assess[t - 1]
+    def mix(self, t: int, u: list[float]) -> tuple[np.ndarray, np.ndarray | None]:
+        raise NotImplementedError("a strategy defines plan or mix")
 
     def observe(self, t: int, profile: tuple[int, ...]) -> None:
         pass
@@ -182,6 +175,8 @@ class AssessmentDrivenStrategy(Strategy):
 class ForecastingBestReaction(Strategy):
     """Draws an assessment from a calibrated forecaster, plays best reaction."""
 
+    draws = 1
+
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
 
@@ -192,8 +187,8 @@ class ForecastingBestReaction(Strategy):
         self._opp_shape = game.opponent_shape(player)
         self._reaction_cache: dict[int, int] = {}
 
-    def mix(self, t, rng):
-        k = self.forecaster.predict(rng)
+    def mix(self, t, u):
+        k = self.forecaster.predict(u[0])
         a = self._reaction_cache.get(k)
         if a is None:
             pi = OpponentDistribution(
@@ -255,26 +250,13 @@ def _player_streams(seed: int, n: int) -> list[np.random.Philox]:
     """One Philox stream per player, about to draw the block of step 1.
 
     A draw from an empty buffer first steps the counter, so a stream started
-    at counter 1 draws step t from block t + 1: ``random_raw`` reads the
-    blocks in order, and a player in the step loop ends every step by
-    dropping the rest of its block (``advance(0)``).
+    at counter 1 reads block t + 1 as the four words of step t.
     """
     streams = []
     for i in range(n):
         key = np.random.SeedSequence([int(seed), i]).generate_state(2, dtype=np.uint64)
         streams.append(np.random.Philox(counter=[1, 0, 0, 0], key=key))
     return streams
-
-
-def _planned_actions(bg: np.random.Philox, mixes: np.ndarray) -> np.ndarray:
-    """Sample every step of a plan: the count of cumulative-mix entries at or below u."""
-    T, k = mixes.shape
-    out = np.empty(T, dtype=np.int64)
-    for s in range(0, T, PLAN_BLOCK_STEPS):
-        e = min(s + PLAN_BLOCK_STEPS, T)
-        u = (bg.random_raw(4 * (e - s))[::4] >> np.uint64(11)) * 2.0**-53
-        out[s:e] = (np.cumsum(mixes[s:e], axis=1) <= u[:, None]).sum(axis=1)
-    return np.minimum(out, k - 1, out=out)
 
 
 def _checkpoints(game: Game, actions: np.ndarray) -> list[Checkpoint]:
@@ -326,37 +308,48 @@ def run_engine(
     ids = [np.full(T, -1, dtype=np.int64) for _ in range(n)]
     records = [ForecastRecord(game.num_opponent_profiles(i)) for i in range(n)]
 
-    loop = []
+    planned, loop = [], []
     for i, strat in enumerate(strategies):
+        if not (isinstance(strat.draws, int) and 0 <= strat.draws <= 3):
+            raise ValueError(f"player {i}'s strategy draws {strat.draws!r} words a step, not 0 to 3")
         strat.start(game, i, T)
-        planned = strat.plan(T)
-        if planned is None:
+        plan = strat.plan(T)
+        if plan is None:
             mix_log[i] = np.zeros((T, game.num_actions(i)))
-            loop.append((i, strat, streams[i], np.random.Generator(streams[i])))
+            loop.append((i, strat, strat.draws))
             continue
-        mixes, assess = planned
+        mixes, assess = plan
         if mixes.shape != (T, game.num_actions(i)):
             raise ValueError(f"player {i}'s plan has mixes of shape {mixes.shape}")
         mix_log[i] = mixes
-        actions[:, i] = _planned_actions(streams[i], mixes)
+        planned.append(i)
         if assess is not None:
             first, inverse = _distinct_rows(assess)
             distinct = [records[i].intern(assess[s]) for s in first]
             ids[i] = np.array(distinct, dtype=np.int64)[inverse]
 
-    if loop:
-        for t in range(1, T + 1):
+    for s in range(0, T, PLAN_BLOCK_STEPS):
+        e = min(s + PLAN_BLOCK_STEPS, T)
+        raw = [bg.random_raw(4 * (e - s)).reshape(e - s, 4) for bg in streams]
+        uniforms = [(x >> np.uint64(11)) * 2.0**-53 for x in raw]
+        for i in planned:
+            cum = np.cumsum(mix_log[i][s:e], axis=1)
+            actions[s:e, i] = np.minimum((cum <= uniforms[i][:, :1]).sum(axis=1), cum.shape[1] - 1)
+        if not loop:
+            continue
+        blocks = [uniforms[i].tolist() for i, _, _ in loop]
+        for t in range(s + 1, e + 1):
             row = actions[t - 1]
-            for i, strat, bg, rng in loop:
-                mix, assess = strat.mix(t, rng)
+            for (i, strat, draws), block in zip(loop, blocks):
+                words = block[t - s - 1]
+                mix, assess = strat.mix(t, words[:draws])
                 mix_log[i][t - 1] = mix
-                a = int(np.searchsorted(np.cumsum(mix), rng.random(), side="right"))
+                a = int(np.searchsorted(np.cumsum(mix), words[draws], side="right"))
                 row[i] = min(a, mix.size - 1)
-                bg.advance(0)
                 if assess is not None:
                     ids[i][t - 1] = records[i].intern(assess)
             profile = tuple(row.tolist())
-            for _, strat, _, _ in loop:
+            for _, strat, _ in loop:
                 strat.observe(t, profile)
 
     return RunTrace(
@@ -406,14 +399,12 @@ def assessment_record(trace: RunTrace, player: int) -> ForecastRecord:
     """
     opp_cols = [j for j in range(len(trace.shape)) if j != player]
     opp_shape = tuple(trace.shape[j] for j in opp_cols)
-    rec = ForecastRecord(int(np.prod(opp_shape)))
-    remap = [rec.intern(v) for v in trace.assessment_dicts[player]]
     ids = trace.assessment_ids[player]
     logged = ids >= 0
     flat = np.ravel_multi_index(tuple(trace.actions[logged, j] for j in opp_cols), opp_shape)
-    for k, y in zip(ids[logged].tolist(), flat.tolist()):
-        rec.append(remap[k], y)
-    return rec
+    return ForecastRecord.from_steps(
+        int(np.prod(opp_shape)), trace.assessment_dicts[player], ids[logged], flat
+    )
 
 
 def max_calibration_score(trace: RunTrace, player: int) -> float:

@@ -205,16 +205,9 @@ def construct_calibrated_replay(
     scores = []
     for i in range(n):
         opp_shape = game.opponent_shape(i)
-        rec = ForecastRecord(int(np.prod(opp_shape)))
         opp_cols = [j for j in range(n) if j != i]
         flat = np.ravel_multi_index(tuple(actions[:, j] for j in opp_cols), opp_shape)
-        # intern each shown vector once, in order of first use: the score sums in id order
-        used, first = np.unique(shown[i], return_index=True)
-        ids = np.empty(len(tables[i]), dtype=np.intp)
-        for k in used[np.argsort(first)].tolist():
-            ids[k] = rec.intern(tables[i][k])
-        for k, y in zip(ids[shown[i]].tolist(), flat.tolist()):
-            rec.append(k, y)
+        rec = ForecastRecord.from_steps(int(np.prod(opp_shape)), tables[i], shown[i], flat)
         scores.append(float(calibration_score(rec).max()))
 
     sig_counts = np.zeros(signal_shape, dtype=np.int64)

@@ -1,3 +1,12 @@
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported: the
+# forecaster's small solves gain nothing from a second thread, which spins
+# against any other load and can push a timed acceptance criterion past its
+# limit.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

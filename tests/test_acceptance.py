@@ -189,7 +189,7 @@ def _forecaster_score(nature: str, t_max: int, seed: int, epsilon: float) -> flo
     ids = [rec.intern(fc.grid[k]) for k in range(fc.grid.shape[0])]
     last_mode = 0
     for _ in range(t_max):
-        k = fc.predict(rng)
+        k = fc.predict(rng.random())
         if nature == "iid":
             y = int(rng.random() < 0.7)
         elif nature == "constant":

@@ -20,7 +20,7 @@ def drive(forecaster, nature, t_max, seed):
     ids = [rec.intern(forecaster.grid[k]) for k in range(forecaster.grid.shape[0])]
     state = {"last_mode": 0}
     for t in range(t_max):
-        k = forecaster.predict(rng)
+        k = forecaster.predict(rng.random())
         y = nature(t, state, rng)
         state["last_mode"] = int(np.argmax(forecaster.grid[k]))
         forecaster.observe(y)
@@ -69,6 +69,16 @@ class TestCalibrationScore:
         assert np.all(calibration_score(rec, t=1) == 0.0)
         assert calibration_score(rec, t=2)[1] == pytest.approx(0.5)
 
+    def test_record_from_steps_interns_in_order_of_first_use(self):
+        vectors = [np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0])]
+        rec = ForecastRecord.from_steps(2, vectors, np.array([2, 0, 2, 1]), np.array([1, 0, 1, 1]))
+        assert [v.tolist() for v in rec.dictionary] == [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+        assert rec.forecasts == [0, 1, 0, 2]
+        assert rec.outcomes == [1, 0, 1, 1]
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="outcome"):
+                ForecastRecord.from_steps(2, vectors, np.array([0, 1]), np.array([0, bad]))
+
 
 class TestForecaster:
     def test_grid_pitch(self):
@@ -86,8 +96,8 @@ class TestForecaster:
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
         for t in range(200):
-            ka = a.predict(rng_a)
-            kb = b.predict(rng_b)
+            ka = a.predict(rng_a.random())
+            kb = b.predict(rng_b.random())
             assert ka == kb
             a.observe(t % 2)
             b.observe(t % 2)
@@ -219,8 +229,8 @@ class TestInvariantPlay:
             nature = np.random.default_rng([seed, 1])
             weights = nature.dirichlet(np.ones(n_outcomes))
             for _ in range(steps):
-                k = new.predict(rng_new)
-                assert k == ref.predict(rng_ref)
+                k = new.predict(rng_new.random())
+                assert k == ref.predict(rng_ref.random())
                 assert np.abs(new._play - ref._play).max() <= 1e-12
                 y = int(nature.choice(n_outcomes, p=weights))
                 new.observe(y)
@@ -249,7 +259,7 @@ class TestInvariantPlay:
         weights = nature.dirichlet(np.ones(n_outcomes))
         ks = []
         for _ in range(steps):
-            ks.append(fc.predict(rng))
+            ks.append(fc.predict(rng.random()))
             fc.observe(int(nature.choice(n_outcomes, p=weights)))
         assert hashlib.sha256(np.asarray(ks, dtype="<i8").tobytes()).hexdigest() == digest
 
@@ -264,7 +274,7 @@ class TestInvariantPlay:
         assert 0 < fc._m < q
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.nan))
         with pytest.raises(RuntimeError, match=f"{fc._m}-point live block"):
-            fc.predict(rng)
+            fc.predict(rng.random())
 
     @pytest.mark.parametrize("n_outcomes,epsilon", [(2, 0.1), (3, 0.1), (4, 0.1), (5, 0.125)])
     def test_kept_positive_part_is_exact(self, n_outcomes, epsilon):

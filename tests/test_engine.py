@@ -128,12 +128,16 @@ def reference_run(game, strategies, T, seed):
 
     Player i's generator is keyed by (seed, i); before step t its counter is
     set to t with an empty buffer, so the step draws from block t + 1.  A
-    one-action player draws nothing.  Returns actions, mixes, assessment ids
-    and dictionaries, and the (t, xi, regrets) checkpoints.
+    planned strategy's step is read off ``plan(T)``; a strategy without a
+    plan gets its ``draws`` uniforms drawn first.  The action takes the next
+    draw, and a one-action player draws none.  Returns actions, mixes,
+    assessment ids and dictionaries, and the (t, xi, regrets) checkpoints.
     """
     n = game.n
+    plans = []
     for i, s in enumerate(strategies):
         s.start(game, i, T)
+        plans.append(s.plan(T))
     gens = []
     for i in range(n):
         key = np.random.SeedSequence([seed, i]).generate_state(2, dtype=np.uint64)
@@ -156,7 +160,11 @@ def reference_run(game, strategies, T, seed):
             state["has_uint32"] = 0
             state["uinteger"] = 0
             bg.state = state
-            mix, assess = strat.mix(t, rng)
+            if plans[i] is None:
+                mix, assess = strat.mix(t, [rng.random() for _ in range(strat.draws)])
+            else:
+                mix = plans[i][0][t - 1]
+                assess = None if plans[i][1] is None else plans[i][1][t - 1]
             mixes[i][t - 1] = mix
             a = 0
             if mix.size > 1:
@@ -179,9 +187,20 @@ def reference_run(game, strategies, T, seed):
     return actions, mixes, ids, dicts, checkpoints
 
 
+class ThreeDrawMixes(Strategy):
+    """Step-loop play of a mix built from the step's three uniforms."""
+
+    draws = 3
+
+    def mix(self, t, u):
+        w = np.resize(np.asarray(u) + 0.25, self.game.num_actions(self.player))
+        return w / w.sum(), None
+
+
 @pytest.mark.parametrize(
     "case",
-    ["fixed-mix", "block-adversary", "forecaster", "scripted-2p", "scripted-3p", "1x3", "3x1"],
+    ["fixed-mix", "block-adversary", "forecaster", "three-draws", "scripted-2p", "scripted-3p",
+     "1x3", "3x1"],
 )
 def test_run_engine_matches_reference_loop(case):
     if case == "fixed-mix":
@@ -193,6 +212,10 @@ def test_run_engine_matches_reference_loop(case):
     elif case == "forecaster":
         game = counterexample_game()
         make = lambda: [ForecastingBestReaction(0.25), block_adversary(5)]
+    elif case == "three-draws":
+        # the action takes word 3, after the strategy's words 0-2
+        game = counterexample_game()
+        make = lambda: [ThreeDrawMixes(), ForecastingBestReaction(0.25)]
     elif case == "scripted-2p":
         game = counterexample_game()
         make = lambda: [
@@ -296,6 +319,14 @@ def test_planned_play_matches_reference_loop(case):
     for seed in (0, 3):
         trace = run_engine(game, make(), T, seed)
         assert_matches_reference(trace, reference_run(game, make(), T, seed))
+
+
+@pytest.mark.parametrize("draws", [-1, 4])
+def test_draws_outside_zero_to_three_are_rejected(draws):
+    game = counterexample_game()
+    strategy = type("Drawing", (ThreeDrawMixes,), {"draws": draws})()
+    with pytest.raises(ValueError, match="draws"):
+        run_engine(game, [strategy, block_adversary(5)], 20, 0)
 
 
 def test_plan_of_the_wrong_shape_is_rejected():
@@ -439,7 +470,7 @@ def reference_assessment_record(trace, player):
 class EvenStepAssessments(Strategy):
     """Uniform play that logs a cycling point-mass assessment on even steps."""
 
-    def mix(self, t, rng):
+    def mix(self, t, u):
         k = self.game.num_actions(self.player)
         if t % 2:
             return np.full(k, 1.0 / k), None
