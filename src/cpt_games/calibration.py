@@ -72,6 +72,8 @@ class ForecastRecord:
         the order ``calibration_score`` sums in, follow the steps.
         """
         rec = cls(n_outcomes)
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(vectors):
+            raise ValueError("forecast id not in the dictionary")
         if len(outcomes) and not 0 <= outcomes.min() <= outcomes.max() < n_outcomes:
             raise ValueError("outcome index out of range")
         steps = ids.tolist()

@@ -9,13 +9,13 @@ strategies whose ``plan`` returns None go through the step loop: at each
 step they produce a mixed action (possibly after drawing an assessment),
 the engine samples their actions, and they observe the full profile.
 
-Randomness is counter-based: player i at step t reads the four 64-bit
+Randomness is counter-based: player i at step t draws the four 64-bit
 words of the Philox block at counter t + 1 of a stream keyed by (seed, i),
-as uniforms (x >> 11) * 2**-53, ``PLAN_BLOCK_STEPS`` steps at a time, so
-traces are bit-reproducible regardless of evaluation order and the
-players' draws are mutually independent.  A step-loop strategy receives
-words 0..draws-1 (``Strategy.draws``, at most three), and its action is
-sampled from word ``draws``; a planned player's action, from word 0.
+``PLAN_BLOCK_STEPS`` steps at a time, and uses words 0 and 1 as uniforms
+(x >> 11) * 2**-53, so traces are bit-reproducible regardless of
+evaluation order and the players' draws are mutually independent.  A
+planned player's action is sampled from word 0; a step-loop strategy
+receives word 0 in ``mix`` and its action is sampled from word 1.
 
 The trace logs actions, per-player assessment ids into the dictionary of
 one ``ForecastRecord`` per player, and checkpoints of the empirical joint
@@ -66,12 +66,9 @@ class Strategy:
     history, and the engine does not call its ``observe``.  The default
     ``plan`` returns None, which means the strategy needs history: the
     engine then calls ``mix(t, u)`` for the step's mixed action and
-    assessment and ``observe`` to show the realized profile.  ``u`` holds
-    the ``draws`` uniforms in [0, 1) of the step, the strategy's only
-    randomness; ``draws`` is a class constant from 0 to 3.
+    assessment and ``observe`` to show the realized profile.  ``u`` is
+    the step's uniform in [0, 1), the strategy's only randomness.
     """
-
-    draws = 0
 
     def start(self, game: Game, player: int, horizon: int) -> None:
         self.game = game
@@ -80,7 +77,7 @@ class Strategy:
     def plan(self, T: int) -> tuple[np.ndarray, np.ndarray | None] | None:
         return None
 
-    def mix(self, t: int, u: list[float]) -> tuple[np.ndarray, np.ndarray | None]:
+    def mix(self, t: int, u: float) -> tuple[np.ndarray, np.ndarray | None]:
         raise NotImplementedError("a strategy defines plan or mix")
 
     def observe(self, t: int, profile: tuple[int, ...]) -> None:
@@ -175,8 +172,6 @@ class AssessmentDrivenStrategy(Strategy):
 class ForecastingBestReaction(Strategy):
     """Draws an assessment from a calibrated forecaster, plays best reaction."""
 
-    draws = 1
-
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
 
@@ -188,7 +183,7 @@ class ForecastingBestReaction(Strategy):
         self._reaction_cache: dict[int, int] = {}
 
     def mix(self, t, u):
-        k = self.forecaster.predict(u[0])
+        k = self.forecaster.predict(u)
         a = self._reaction_cache.get(k)
         if a is None:
             pi = OpponentDistribution(
@@ -310,13 +305,11 @@ def run_engine(
 
     planned, loop = [], []
     for i, strat in enumerate(strategies):
-        if not (isinstance(strat.draws, int) and 0 <= strat.draws <= 3):
-            raise ValueError(f"player {i}'s strategy draws {strat.draws!r} words a step, not 0 to 3")
         strat.start(game, i, T)
         plan = strat.plan(T)
         if plan is None:
             mix_log[i] = np.zeros((T, game.num_actions(i)))
-            loop.append((i, strat, strat.draws))
+            loop.append((i, strat))
             continue
         mixes, assess = plan
         if mixes.shape != (T, game.num_actions(i)):
@@ -331,25 +324,25 @@ def run_engine(
     for s in range(0, T, PLAN_BLOCK_STEPS):
         e = min(s + PLAN_BLOCK_STEPS, T)
         raw = [bg.random_raw(4 * (e - s)).reshape(e - s, 4) for bg in streams]
-        uniforms = [(x >> np.uint64(11)) * 2.0**-53 for x in raw]
+        uniforms = [(x[:, :2] >> np.uint64(11)) * 2.0**-53 for x in raw]
         for i in planned:
             cum = np.cumsum(mix_log[i][s:e], axis=1)
             actions[s:e, i] = np.minimum((cum <= uniforms[i][:, :1]).sum(axis=1), cum.shape[1] - 1)
         if not loop:
             continue
-        blocks = [uniforms[i].tolist() for i, _, _ in loop]
+        blocks = [uniforms[i].tolist() for i, _ in loop]
         for t in range(s + 1, e + 1):
             row = actions[t - 1]
-            for (i, strat, draws), block in zip(loop, blocks):
-                words = block[t - s - 1]
-                mix, assess = strat.mix(t, words[:draws])
+            for (i, strat), block in zip(loop, blocks):
+                u, v = block[t - s - 1]
+                mix, assess = strat.mix(t, u)
                 mix_log[i][t - 1] = mix
-                a = int(np.searchsorted(np.cumsum(mix), words[draws], side="right"))
+                a = int(np.searchsorted(np.cumsum(mix), v, side="right"))
                 row[i] = min(a, mix.size - 1)
                 if assess is not None:
                     ids[i][t - 1] = records[i].intern(assess)
             profile = tuple(row.tolist())
-            for _, strat, _ in loop:
+            for _, strat in loop:
                 strat.observe(t, profile)
 
     return RunTrace(

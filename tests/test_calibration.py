@@ -78,6 +78,10 @@ class TestCalibrationScore:
         for bad in (2, -1):
             with pytest.raises(ValueError, match="outcome"):
                 ForecastRecord.from_steps(2, vectors, np.array([0, 1]), np.array([0, bad]))
+        for bad in (3, -1):
+            # -1 is the engine's id of an unlogged step
+            with pytest.raises(ValueError, match="forecast id"):
+                ForecastRecord.from_steps(2, vectors, np.array([0, bad]), np.array([0, 1]))
 
 
 class TestForecaster:

@@ -129,8 +129,8 @@ def reference_run(game, strategies, T, seed):
     Player i's generator is keyed by (seed, i); before step t its counter is
     set to t with an empty buffer, so the step draws from block t + 1.  A
     planned strategy's step is read off ``plan(T)``; a strategy without a
-    plan gets its ``draws`` uniforms drawn first.  The action takes the next
-    draw, and a one-action player draws none.  Returns actions, mixes,
+    plan gets one uniform drawn first.  The action takes the next draw, and
+    a one-action player draws none for it.  Returns actions, mixes,
     assessment ids and dictionaries, and the (t, xi, regrets) checkpoints.
     """
     n = game.n
@@ -161,7 +161,7 @@ def reference_run(game, strategies, T, seed):
             state["uinteger"] = 0
             bg.state = state
             if plans[i] is None:
-                mix, assess = strat.mix(t, [rng.random() for _ in range(strat.draws)])
+                mix, assess = strat.mix(t, rng.random())
             else:
                 mix = plans[i][0][t - 1]
                 assess = None if plans[i][1] is None else plans[i][1][t - 1]
@@ -187,19 +187,9 @@ def reference_run(game, strategies, T, seed):
     return actions, mixes, ids, dicts, checkpoints
 
 
-class ThreeDrawMixes(Strategy):
-    """Step-loop play of a mix built from the step's three uniforms."""
-
-    draws = 3
-
-    def mix(self, t, u):
-        w = np.resize(np.asarray(u) + 0.25, self.game.num_actions(self.player))
-        return w / w.sum(), None
-
-
 @pytest.mark.parametrize(
     "case",
-    ["fixed-mix", "block-adversary", "forecaster", "three-draws", "scripted-2p", "scripted-3p",
+    ["fixed-mix", "block-adversary", "forecaster", "mix-only", "scripted-2p", "scripted-3p",
      "1x3", "3x1"],
 )
 def test_run_engine_matches_reference_loop(case):
@@ -212,10 +202,10 @@ def test_run_engine_matches_reference_loop(case):
     elif case == "forecaster":
         game = counterexample_game()
         make = lambda: [ForecastingBestReaction(0.25), block_adversary(5)]
-    elif case == "three-draws":
-        # the action takes word 3, after the strategy's words 0-2
+    elif case == "mix-only":
+        # a uniform step-loop mix: its action takes word 1, after the word mix reads
         game = counterexample_game()
-        make = lambda: [ThreeDrawMixes(), ForecastingBestReaction(0.25)]
+        make = lambda: [EvenStepAssessments(), ForecastingBestReaction(0.25)]
     elif case == "scripted-2p":
         game = counterexample_game()
         make = lambda: [
@@ -319,14 +309,6 @@ def test_planned_play_matches_reference_loop(case):
     for seed in (0, 3):
         trace = run_engine(game, make(), T, seed)
         assert_matches_reference(trace, reference_run(game, make(), T, seed))
-
-
-@pytest.mark.parametrize("draws", [-1, 4])
-def test_draws_outside_zero_to_three_are_rejected(draws):
-    game = counterexample_game()
-    strategy = type("Drawing", (ThreeDrawMixes,), {"draws": draws})()
-    with pytest.raises(ValueError, match="draws"):
-        run_engine(game, [strategy, block_adversary(5)], 20, 0)
 
 
 def test_plan_of_the_wrong_shape_is_rejected():
