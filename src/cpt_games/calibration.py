@@ -125,7 +125,10 @@ class CalibratedForecaster:
     for any outcome sequence that does not react to the current forecast.
 
     The invariant distribution comes from a damped direct solve of the
-    balance equations, on every grid.  A grid point whose positive regret
+    balance equations, re-solved only after a step changed a positive
+    regret row; otherwise ``predict`` samples the kept play.  A step whose
+    issued forecast had and keeps no positive regret changes nothing the
+    solve reads.  A grid point whose positive regret
     row is zero (a forecast never issued, or one whose regrets all went
     non-positive) is absorbing up to the restart, so its column of the
     balance matrix is the restart rate times a unit vector and the system
@@ -137,6 +140,10 @@ class CalibratedForecaster:
     grid point nearly every step, so the block grows with the step count
     rather than with the grid.  A solve whose result is not a finite,
     non-negative vector of positive mass raises ``RuntimeError``.
+
+    ``predicts``, ``solves`` and ``solve_flop`` count the forecasts drawn,
+    the live blocks solved and the sum of m**3 / 3 over those m-point
+    blocks.
     """
 
     def __init__(self, n_outcomes: int, epsilon: float):
@@ -157,26 +164,31 @@ class CalibratedForecaster:
         self._pos = np.zeros((q, q))
         self._rows = np.zeros(q)
         self._play = np.full(q, 1.0 / q)
-        self._last: int | None = None
         self._rhs = np.full(q, _DELTA / q)
         self._abuf = np.empty(q * q)
-        self._reset_slots()
+        self._reset_step_state()
 
-    def _reset_slots(self) -> None:
+    def _reset_step_state(self) -> None:
         # points whose rows have been positive hold slots [0, _m) in the
         # order they went live
         q = self._rows.size
         self._point = np.arange(q)
         self._slot = np.arange(q)
         self._m = 0
+        # cumulative sums of _play, which is current unless _stale
+        self._cum = self._play.cumsum()
+        self._stale = False
+        self._last: int | None = None
+        self.predicts = 0
+        self.solves = 0
+        self.solve_flop = 0.0
 
     def reset(self) -> None:
         self._regret.fill(0.0)
         self._pos.fill(0.0)
         self._rows.fill(0.0)
         self._play.fill(1.0 / self._play.size)
-        self._last = None
-        self._reset_slots()
+        self._reset_step_state()
 
     def _go_live(self, r: int) -> int:
         """Swap slot r into slot ``_m`` and make it live; returns its new slot."""
@@ -217,6 +229,8 @@ class CalibratedForecaster:
         np.multiply(rows[:m], scale, out=diag)
         diag += delta
         p = np.linalg.solve(a.T, self._rhs[:m])
+        self.solves += 1
+        self.solve_flop += m**3 / 3.0
         if m < q:
             full = p @ pos[:m]
             full *= scale / delta
@@ -239,22 +253,32 @@ class CalibratedForecaster:
 
     def predict(self, u: float) -> int:
         """Sample the next forecast at a uniform u in [0, 1); returns its grid index."""
-        p = self._invariant_play()
-        self._play = p
-        k = int(p.cumsum().searchsorted(u, side="right"))
-        self._last = min(k, p.size - 1)
+        if not 0.0 <= u < 1.0:
+            raise ValueError("u must lie in [0, 1)")
+        self.predicts += 1
+        if self._stale:
+            self._play = self._invariant_play()
+            self._cum = self._play.cumsum()
+            self._stale = False
+        k = int(self._cum.searchsorted(u, side="right"))
+        self._last = min(k, self._cum.size - 1)
         return self._last
 
     def observe(self, outcome: int) -> None:
         """Charge the checking loss of the last forecast against outcome."""
         if self._last is None:
             raise RuntimeError("observe called before predict")
+        if not 0 <= outcome < self.n_outcomes:
+            raise ValueError("outcome index out of range")
         k = self._last
         row = self._regret[k]
         row += self.loss[k, outcome] - self.loss[:, outcome]
         pos_k = np.maximum(row, 0.0)
         total = pos_k.sum()
         r = self._slot[k]
+        # a row that had and keeps no positive regret leaves the play as it is
+        if total > 0.0 or self._rows[r] > 0.0:
+            self._stale = True
         if r >= self._m and total > 0.0:
             r = self._go_live(r)
         self._rows[r] = total

@@ -26,6 +26,7 @@ trace is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +181,11 @@ class ForecastingBestReaction(Strategy):
         self.forecaster = CalibratedForecaster(game.num_opponent_profiles(player), self.epsilon)
         self._eye = np.eye(game.num_actions(player))
         self._opp_shape = game.opponent_shape(player)
+        # (player, row-major stride) of each opponent in a flat outcome index
+        opponents = [j for j in range(game.n) if j != player]
+        self._opp_strides = [
+            (j, math.prod(self._opp_shape[k + 1 :])) for k, j in enumerate(opponents)
+        ]
         self._reaction_cache: dict[int, int] = {}
 
     def mix(self, t, u):
@@ -194,9 +200,7 @@ class ForecastingBestReaction(Strategy):
         return self._eye[a], self.forecaster.grid[k]
 
     def observe(self, t, profile):
-        opp = tuple(a for j, a in enumerate(profile) if j != self.player)
-        y = int(np.ravel_multi_index(opp, self._opp_shape))
-        self.forecaster.observe(y)
+        self.forecaster.observe(sum(profile[j] * s for j, s in self._opp_strides))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Calibration scores and the grid forecaster."""
 
+import copy
 import hashlib
 import math
 
@@ -299,3 +300,100 @@ class TestInvariantPlay:
             fc.reset()
             assert not fc._regret.any() and not fc._pos.any() and not fc._rows.any()
             assert fc._m == 0
+
+
+def fresh_play(fc):
+    """The play a fresh solve of the forecaster's current state gives."""
+    return copy.deepcopy(fc)._invariant_play()
+
+
+class TestKeptPlay:
+    """``predict`` re-solves only after a step that changed a positive regret row."""
+
+    @pytest.mark.parametrize("n_outcomes,steps", [(2, 1500), (3, 400), (4, 150)])
+    def test_kept_play_is_a_fresh_solve(self, n_outcomes, steps):
+        # grids of 11, 66 and 286 points: after every predict the play it
+        # sampled from equals, bit for bit, a solve of the current state
+        fc = CalibratedForecaster(n_outcomes, 0.1)
+        rng = np.random.default_rng(11)
+        weights = rng.dirichlet(np.ones(n_outcomes))
+        for _ in range(2):
+            for _ in range(steps):
+                fc.predict(rng.random())
+                assert np.array_equal(fc._play, fresh_play(fc))
+                fc.observe(int(rng.choice(n_outcomes, p=weights)))
+            assert 0 < fc.solves < fc.predicts == steps
+            fc.reset()
+            assert (fc.predicts, fc.solves, fc.solve_flop) == (0, 0, 0.0)
+            assert np.array_equal(fc._play, np.full(fc.grid.shape[0], 1.0 / fc.grid.shape[0]))
+
+    @pytest.mark.parametrize("n_outcomes", [2, 3, 4])
+    def test_row_turning_non_positive_re_solves(self, n_outcomes):
+        # the setting of test_row_whose_regrets_turned_non_positive: the last
+        # charge takes a live row from positive to zero, which changes the play
+        fc = CalibratedForecaster(n_outcomes, 0.1)
+        rng = np.random.default_rng(n_outcomes)
+        for _ in range(6):
+            issue(fc, int(rng.integers(fc.grid.shape[0])), int(rng.integers(n_outcomes)))
+        k = int(np.argmin((fc.grid**2).sum(axis=1)))
+        for y in range(n_outcomes - 1):
+            issue(fc, k, y)
+        fc.predict(0.5)
+        before = fc._play.copy()
+        solves = fc.solves
+        assert fc._rows[fc._slot[k]] > 0.0
+        issue(fc, k, n_outcomes - 1)
+        assert fc._rows[fc._slot[k]] == 0.0
+        fc.predict(0.5)
+        assert fc.solves == solves + 1
+        assert not np.array_equal(fc._play, before)
+        assert np.array_equal(fc._play, fresh_play(fc))
+
+    @pytest.mark.parametrize("n_outcomes,steps", [(2, 3000), (3, 600)])
+    def test_solves_count_the_steps_that_touched_a_positive_row(self, n_outcomes, steps):
+        # an independent dense regret matrix: a step can change the play only
+        # if the forecast it charged had or has a positive regret, and the
+        # next predict solves after such a step unless no regret is positive
+        fc = CalibratedForecaster(n_outcomes, 0.1)
+        regret = np.zeros_like(fc._regret)
+        rng = np.random.default_rng(5)
+        weights = rng.dirichlet(np.ones(n_outcomes))
+        touched = False
+        want = 0
+        flop = 0.0
+        live = set()
+        for _ in range(steps):
+            if touched and (regret > 0.0).any():
+                want += 1
+                flop += len(live) ** 3 / 3.0
+            k = fc.predict(rng.random())
+            y = int(rng.choice(n_outcomes, p=weights))
+            had = (regret[k] > 0.0).any()
+            regret[k] += fc.loss[k, y] - fc.loss[:, y]
+            has = (regret[k] > 0.0).any()
+            if has:
+                live.add(k)
+            touched = had or has
+            fc.observe(y)
+        assert fc.predicts == steps and fc.solves == want and fc.solve_flop == flop
+        if n_outcomes == 2:
+            assert fc.solves < fc.predicts / 2
+
+    def test_inputs_are_validated_before_any_state_changes(self):
+        fc = CalibratedForecaster(3, 0.1)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            fc.predict(rng.random())
+            fc.observe(int(rng.integers(3)))
+        k = fc.predict(0.25)
+        state = copy.deepcopy(fc.__dict__)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="outcome index out of range"):
+                fc.observe(bad)
+        for bad in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match="u must lie"):
+                fc.predict(bad)
+        for name, value in state.items():
+            assert np.array_equal(getattr(fc, name), value), name
+        assert fc._last == k
+        fc.observe(2)
