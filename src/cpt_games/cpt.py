@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -89,18 +90,26 @@ class WeightingFunction:
         raise ValueError(f"unknown weighting kind {self.kind!r}")
 
     def __call__(self, p):
-        """Evaluate the weight at a scalar or array of probabilities."""
-        arr = np.asarray(p, dtype=float)
+        """Evaluate the weight at a scalar or array of probabilities.
+
+        Outside [0, 1], Prelec and tabulated weights are 0 below 0 and 1
+        above 1; the identity passes any value through.
+        """
+        arr = np.asarray(p, dtype=float, order="C")
         if self.kind == "identity":
             out = arr.copy()
         elif self.kind == "prelec":
-            out = np.zeros_like(arr)
-            inner = (arr > 0.0) & (arr < 1.0)
-            out[inner] = np.exp(-((-np.log(arr[inner])) ** self.gamma))
-            out[arr == 1.0] = 1.0
+            # On the clamped array, IEEE special values give w(0) = 0 and
+            # w(1) = 1 exactly: log(0) = -inf, exp(-inf) = 0 and log(1) = 0.
+            # ``exp``, ``log`` and ``pow`` see a C-contiguous 1-d array: a
+            # strided array takes another inner loop, and a NumPy scalar
+            # another ``pow``, either of which can round differently.
+            q = np.minimum(np.maximum(arr.reshape(-1), 0.0), 1.0)
+            with np.errstate(divide="ignore"):
+                out = np.exp(-((-np.log(q)) ** self.gamma)).reshape(arr.shape)
         else:
             out = np.interp(arr, self._ps, self._ws)
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
 
 def identity_weighting() -> WeightingFunction:
@@ -166,17 +175,13 @@ class ValueFunction:
             raise ValueError("value function is not strictly increasing")
 
     def __call__(self, z):
-        arr = np.asarray(z, dtype=float)
-        d = arr - self.reference
+        d = np.asarray(z, dtype=float) - self.reference
         if self.kind == "identity":
             out = d
         else:
-            out = np.where(
-                d >= 0.0,
-                np.abs(d) ** self.alpha,
-                -self.loss_aversion * np.abs(d) ** self.beta,
-            )
-        return float(out) if np.isscalar(z) or arr.ndim == 0 else out
+            a = np.abs(d)
+            out = np.where(d >= 0.0, a**self.alpha, -self.loss_aversion * a**self.beta)
+        return float(out) if d.ndim == 0 else out
 
 
 def identity_value(reference: float = 0.0) -> ValueFunction:
@@ -229,18 +234,21 @@ def eut_preferences(reference: float = 0.0) -> CptPreferences:
 
 def _as_probabilities(probs, label: str) -> tuple[np.ndarray, float]:
     """Validated, clipped copy of a probability vector and its exact sum."""
-    p = np.asarray(probs, dtype=float).copy()
+    p = np.array(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{label} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(p)):
+    # min and max are NaN if any entry is, and infinite if any entry is
+    lo, hi = p.min(), p.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{label} must be finite")
-    if np.any(p < -PROB_SUM_TOL) or np.any(p > 1.0 + PROB_SUM_TOL):
+    if lo < -PROB_SUM_TOL or hi > 1.0 + PROB_SUM_TOL:
         raise ValueError(f"{label} entries must lie in [0, 1]")
-    np.clip(p, 0.0, 1.0, out=p)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(p, 0.0, 1.0, out=p)
     # exactly rounded summation keeps the acceptance decision independent of
     # the entry order; entries are stored as given and the off-by-epsilon
     # mass is normalized away inside the cumulative evaluation
-    s = math.fsum(p)
+    s = math.fsum(p.tolist())
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{label} must sum to 1 (got {s!r})")
     return p, s
@@ -264,7 +272,7 @@ class Lottery:
         z = np.asarray(outcomes, dtype=float)
         if z.shape != p.shape:
             raise ValueError("probabilities and outcomes must have equal length")
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("outcomes must be finite")
         p.setflags(write=False)
         z.setflags(write=False)
@@ -307,21 +315,21 @@ class RegretTriples:
 # ---------------------------------------------------------------------------
 
 
-def _rank(z: np.ndarray) -> np.ndarray:
+def _rank(z: list[float]) -> list[int]:
     """Indices sorting outcomes ``z`` from largest to smallest.
 
-    Ties keep ascending original order, so runs are reproducible; the CPT
-    value does not depend on how ties are broken.
+    Ties keep ascending original order (the sort is stable), so runs are
+    reproducible; the CPT value does not depend on how ties are broken.
     """
-    return np.argsort(-z, kind="stable")
+    return sorted(range(len(z)), key=z.__getitem__, reverse=True)
 
 
 def rank_outcomes(lottery: Lottery) -> np.ndarray:
     """Indices sorting the lottery's outcomes from largest to smallest."""
-    return _rank(lottery.outcomes)
+    return np.array(_rank(lottery.outcomes.tolist()), dtype=np.intp)
 
 
-def _block_cumulative(p: np.ndarray, z: np.ndarray, total: float) -> np.ndarray:
+def _block_cumulative(p: list[float], z: list[float], total: float) -> list[float]:
     """Cumulative probabilities with order-canonical tie-block boundaries.
 
     Weighting functions may have unbounded slope at the endpoints, so a
@@ -331,53 +339,51 @@ def _block_cumulative(p: np.ndarray, z: np.ndarray, total: float) -> np.ndarray:
     boundaries are exactly rounded prefix sums divided by the exactly
     rounded total mass, which pins them to identical floats for every
     permutation and padding and makes a full-mass cumulative exactly one.
-    Entries inside a block keep a running sum from the block's start,
-    whose evaluation cancels when the block telescopes.
+    Entries inside a block keep a sequential running sum from the block's
+    start, whose evaluation cancels when the block telescopes.
     """
-    cum = np.cumsum(p)
+    cum = []
     start = 0.0
     i = 0
-    t = p.size
+    t = len(p)
     while i < t:
         j = i + 1
         while j < t and z[j] == z[i]:
             j += 1
-        end = math.fsum(p[:j])
         if j - i > 1:
-            cum[i : j - 1] = start + np.cumsum(p[i : j - 1])
-        cum[j - 1] = end
-        start = end
+            cum.extend(start + s for s in accumulate(p[i : j - 1]))
+        start = math.fsum(p[:j])
+        cum.append(start)
         i = j
-    return np.clip(cum / total, 0.0, 1.0)
+    # the sums are nonnegative, so only the upper end of [0, 1] can bind
+    return [min(c / total, 1.0) for c in cum]
 
 
 def _ranked_weights(
-    p: np.ndarray, z: np.ndarray, total: float, prefs: CptPreferences
-) -> tuple[np.ndarray, int]:
+    p: list[float], z: list[float], total: float, prefs: CptPreferences
+) -> tuple[list[float], int]:
     """``decision_weights`` of outcomes ``z`` sorted best to worst, with their
-    probabilities ``p`` in the same order and exactly rounded mass ``total``."""
-    split = int(np.count_nonzero(z >= prefs.reference))
-    t = p.size
-    pi = np.empty(t, dtype=float)
+    probabilities ``p`` in the same order and exactly rounded mass ``total``.
 
-    if split > 0:
-        if prefs.weight_gain.kind == "identity":
-            pi[:split] = p[:split]
-        else:
-            cum = _block_cumulative(p[:split], z[:split], total)
-            w = prefs.weight_gain(cum)
-            pi[:split] = np.diff(np.concatenate(([0.0], w)))
-    if split < t:
-        if prefs.weight_loss.kind == "identity":
-            pi[split:] = p[split:]
-        else:
-            tail = _block_cumulative(p[split:][::-1], z[split:][::-1], total)[::-1]
-            w = prefs.weight_loss(tail)
-            pi[split:] = w - np.concatenate((w[1:], [0.0]))
+    Boundaries are Python floats; each weighting function sees them as one
+    C-contiguous array in best-to-worst order.
+    """
+    ref = prefs.reference
+    t = len(z)
+    split = 0
+    while split < t and z[split] >= ref:
+        split += 1
+    gains, losses = p[:split], p[split:]
+    if gains and prefs.weight_gain.kind != "identity":
+        w = prefs.weight_gain(np.array(_block_cumulative(gains, z[:split], total))).tolist()
+        gains = [b - a for a, b in zip([0.0] + w, w)]
+    if losses and prefs.weight_loss.kind != "identity":
+        tail = _block_cumulative(losses[::-1], z[split:][::-1], total)
+        w = prefs.weight_loss(np.array(tail[::-1])).tolist()
+        losses = [a - b for a, b in zip(w, w[1:] + [0.0])]
     # weighting functions are increasing, so weights are nonnegative up to
     # rounding of the cumulative sums
-    np.clip(pi, 0.0, None, out=pi)
-    return pi, split
+    return [x if x > 0.0 else 0.0 for x in gains + losses], split
 
 
 def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarray, int]:
@@ -390,18 +396,25 @@ def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarra
     bottom.  With identity weighting the weights are exactly the sorted
     probabilities.
     """
-    order = rank_outcomes(lottery)
-    p = lottery.probs[order]
-    return _ranked_weights(p, lottery.outcomes[order], math.fsum(p), prefs)
-
-
-def _value(p: np.ndarray, z: np.ndarray, total: float, prefs: CptPreferences) -> float:
-    """CPT value of outcomes ``z`` with validated probabilities ``p`` of
-    exactly rounded mass ``total``: the one rank-dependent evaluation."""
+    p, z = lottery.probs.tolist(), lottery.outcomes.tolist()
     order = _rank(z)
-    ranked = z[order]
-    pi, _ = _ranked_weights(p[order], ranked, total, prefs)
-    return float(np.dot(pi, prefs.value(ranked)))
+    ranked = [p[k] for k in order]
+    pi, split = _ranked_weights(ranked, [z[k] for k in order], math.fsum(ranked), prefs)
+    return np.array(pi), split
+
+
+def _value(p: list[float], z: list[float], total: float, prefs: CptPreferences) -> float:
+    """CPT value of outcomes ``z`` with validated probabilities ``p`` of
+    exactly rounded mass ``total``: the one rank-dependent evaluation.
+
+    It runs on Python floats except where NumPy fixes the rounding: the
+    weighting and value functions' ufuncs, on C-contiguous arrays, and one
+    ``np.dot`` per row.
+    """
+    order = _rank(z)
+    ranked = [z[k] for k in order]
+    pi, _ = _ranked_weights([p[k] for k in order], ranked, total, prefs)
+    return float(np.dot(np.array(pi), prefs.value(np.array(ranked))))
 
 
 def row_values(probs, outcome_rows, prefs: CptPreferences) -> np.ndarray:
@@ -413,14 +426,16 @@ def row_values(probs, outcome_rows, prefs: CptPreferences) -> np.ndarray:
     """
     p, total = _as_probabilities(probs, "lottery probabilities")
     rows = np.asarray(outcome_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != p.size or not np.all(np.isfinite(rows)):
+    if rows.ndim != 2 or rows.shape[1] != p.size or not np.isfinite(rows).all():
         raise ValueError("outcome rows must be a finite (k, d) matrix over d probabilities")
-    return np.array([_value(p, z, total, prefs) for z in rows])
+    p = p.tolist()
+    return np.array([_value(p, z, total, prefs) for z in rows.tolist()])
 
 
 def cpt_value(lottery: Lottery, prefs: CptPreferences) -> float:
     """CPT value of a lottery: decision weights times outcome values."""
-    return _value(lottery.probs, lottery.outcomes, math.fsum(lottery.probs), prefs)
+    p = lottery.probs.tolist()
+    return _value(p, lottery.outcomes.tolist(), math.fsum(p), prefs)
 
 
 def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:

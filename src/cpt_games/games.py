@@ -242,7 +242,8 @@ def induced_lottery(game: Game, i: int, pi: OpponentDistribution, a_i: int) -> L
     """Lottery player i faces playing ``a_i`` against opponent mix ``pi``."""
     if pi.player != i:
         raise ValueError("opponent distribution belongs to a different player")
-    return Lottery(pi.flat(), player_rows(game.payoffs[i], i)[a_i])
+    # row a_i of player_rows(game.payoffs[i], i), without building the others
+    return Lottery(pi.flat(), game.payoffs[(i,) + (slice(None),) * i + (a_i,)].ravel())
 
 
 def empirical_update(

@@ -58,6 +58,19 @@ class TestEvaluateWeight:
             assert evaluate_weight(w, 0.0) == 0.0
             assert evaluate_weight(w, 1.0) == 1.0
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 0.4107])
+    def test_prelec_clamps_outside_the_unit_interval(self, gamma):
+        # a probability one ulp-scale above 1 weighs 1, as the tabulated
+        # kind clamps it, so the weight stays monotone at the domain's edge
+        tab = tabulated_weighting([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
+        for w in (prelec_weighting(gamma), tab):
+            assert w(1.0 + 1e-12) == 1.0 and w(2.0) == 1.0
+            assert w(-1e-12) == 0.0
+            p = np.array([-1e-12, 0.0, 0.25, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0])
+            out = w(p)
+            assert out[0] == out[1] == 0.0 and out[4] == out[5] == out[6] == 1.0
+            assert np.all(np.diff(out) >= 0.0)
+
     @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
     def test_domain_error(self, p):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@
 ``cpt_value`` (one lottery) share one rank-dependent evaluation, and action
 values, the exact region test, regret matrices and ``cpt_regret`` are built
 on them.  The reference below is a frozen copy of the scalar evaluator
-before that, one ``Lottery`` per action; values must match it bit for bit,
-and the traces built on them must keep their pinned digests.
+before that, one ``Lottery`` per action, with frozen copies of its
+weighting and value arithmetic; values must match it bit for bit, and the
+traces built on them must keep their pinned digests.
 """
 
 import hashlib
@@ -39,6 +40,29 @@ from cpt_games.scripted import scripted_cycle_run
 # ---------------------------------------------------------------------------
 
 
+def ref_weight(w, p):
+    """The weighting function's arithmetic: Prelec on the open interval by
+    a mask, tabulated by ``np.interp``."""
+    arr = np.asarray(p, dtype=float)
+    if w.kind == "identity":
+        return arr.copy()
+    if w.kind == "prelec":
+        out = np.zeros_like(arr)
+        inner = (arr > 0.0) & (arr < 1.0)
+        out[inner] = np.exp(-((-np.log(arr[inner])) ** w.gamma))
+        out[arr == 1.0] = 1.0
+        return out
+    return np.interp(arr, [q for q, _ in w.grid], [x for _, x in w.grid])
+
+
+def ref_value(v, z):
+    """The value function's arithmetic: a piecewise ``np.where``."""
+    d = np.asarray(z, dtype=float) - v.reference
+    if v.kind == "identity":
+        return d
+    return np.where(d >= 0.0, np.abs(d) ** v.alpha, -v.loss_aversion * np.abs(d) ** v.beta)
+
+
 def ref_block_cumulative(p, z, total):
     cum = np.cumsum(p)
     start = 0.0
@@ -70,14 +94,14 @@ def ref_decision_weights(lottery, prefs):
             pi[:split] = p[:split]
         else:
             cum = ref_block_cumulative(p[:split], z[:split], total)
-            w = prefs.weight_gain(cum)
+            w = ref_weight(prefs.weight_gain, cum)
             pi[:split] = np.diff(np.concatenate(([0.0], w)))
     if split < t:
         if prefs.weight_loss.kind == "identity":
             pi[split:] = p[split:]
         else:
             tail = ref_block_cumulative(p[split:][::-1], z[split:][::-1], total)[::-1]
-            w = prefs.weight_loss(tail)
+            w = ref_weight(prefs.weight_loss, tail)
             pi[split:] = w - np.concatenate((w[1:], [0.0]))
     np.clip(pi, 0.0, None, out=pi)
     return pi, split
@@ -86,7 +110,7 @@ def ref_decision_weights(lottery, prefs):
 def ref_cpt_value(lottery, prefs):
     order = np.argsort(-lottery.outcomes, kind="stable")
     pi, _ = ref_decision_weights(lottery, prefs)
-    return float(np.dot(pi, prefs.value(lottery.outcomes[order])))
+    return float(np.dot(pi, ref_value(prefs.value, lottery.outcomes[order])))
 
 
 def ref_outcomes(game, i, a):
@@ -191,6 +215,89 @@ def test_regret_matrices_equal_the_frozen_scalar_evaluator(name):
             assert np.array_equal(
                 regret_matrix_from_counts(game, i, counts, t), ref_regret_matrix(game, i, counts, t)
             )
+
+
+# ---------------------------------------------------------------------------
+# random lotteries
+# ---------------------------------------------------------------------------
+
+
+def random_weighting(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return identity_weighting()
+    if kind == 1:
+        # 0.5, 1.0 and 2.0 take NumPy's sqrt, copy and square shortcuts for pow
+        return prelec_weighting(float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.3, 2.0)])))
+    return TABULATED
+
+
+def random_preferences(rng):
+    reference = float(rng.choice([0.0, 0.5, -0.5]))
+    if rng.random() < 0.5:
+        value = identity_value(reference)
+    else:
+        value = piecewise_power_value(
+            reference, float(rng.choice([0.5, 0.8, 1.0])), float(rng.choice([0.5, 0.7, 1.0])),
+            float(rng.uniform(1.0, 3.0)),
+        )
+    return CptPreferences(value, random_weighting(rng), random_weighting(rng))
+
+
+def random_lottery(rng, case):
+    """Dirichlet, zero-entry, point-mass or uniform probabilities over d in
+    1..8 outcomes, tied half-integer or continuous, every third row mostly
+    losses."""
+    d = int(rng.integers(1, 9))
+    p = rng.dirichlet(np.ones(d))
+    if case % 4 == 1:
+        p[rng.choice(d, size=max(1, d // 2), replace=False)] = 0.0
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        p /= p.sum()
+    elif case % 4 == 2:
+        p = np.eye(d)[rng.integers(d)]
+    elif case % 4 == 3:
+        p = np.full(d, 1.0 / d)
+    z = rng.integers(-2, 3, d) * 0.5 if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, d)
+    if case % 3 == 0:
+        z = -np.abs(z) - 0.5
+    return Lottery(p, z)
+
+
+def test_random_lotteries_equal_the_frozen_scalar_evaluator():
+    # the loss side evaluates its weights in best-to-worst order, the
+    # reverse of its cumulative sums, which is where a strided array into
+    # exp/log once changed values by an ulp
+    rng = np.random.default_rng(20180405)
+    for case in range(4000):
+        prefs = random_preferences(rng)
+        lot = random_lottery(rng, case)
+        assert cpt_value(lot, prefs) == ref_cpt_value(lot, prefs)
+        weights, split = decision_weights(lot, prefs)
+        ref_weights, ref_split = ref_decision_weights(lot, prefs)
+        assert np.array_equal(weights, ref_weights) and split == ref_split
+
+
+@pytest.mark.parametrize(
+    "w",
+    [identity_weighting(), prelec_weighting(0.5), prelec_weighting(0.7), prelec_weighting(2.0),
+     TABULATED],
+    ids=["identity", "prelec-0.5", "prelec-0.7", "prelec-2.0", "tabulated"],
+)
+def test_weights_of_strided_views_equal_their_contiguous_copies(w):
+    # on this many entries, exp, log or pow on a negative-stride view round
+    # some differently from the same values in a contiguous array
+    rng = np.random.default_rng(20180406)
+    inner = rng.uniform(0.0, 1.0, 4096)
+    edges = inner.copy()
+    edges[::7] = 0.0
+    edges[::11] = 1.0
+    for p in (inner, edges):
+        square = p.reshape(64, 64)
+        for view in (p[::-1], p[::3], p[::-5], square.T, square[:, ::-1], square[::2, 1::3]):
+            assert np.array_equal(w(view), w(np.ascontiguousarray(view)))
+            assert np.array_equal(w(view), ref_weight(w, np.ascontiguousarray(view)))
 
 
 def test_player_rows_layout():
