@@ -175,13 +175,15 @@ class ValueFunction:
             raise ValueError("value function is not strictly increasing")
 
     def __call__(self, z):
-        d = np.asarray(z, dtype=float) - self.reference
+        arr = np.asarray(z, dtype=float)
+        # a scalar takes the array loop's pow: NumPy's scalar ``**`` rounds differently
+        d = (arr.reshape(1) if arr.ndim == 0 else arr) - self.reference
         if self.kind == "identity":
             out = d
         else:
             a = np.abs(d)
             out = np.where(d >= 0.0, a**self.alpha, -self.loss_aversion * a**self.beta)
-        return float(out) if d.ndim == 0 else out
+        return float(out[0]) if arr.ndim == 0 else out
 
 
 def identity_value(reference: float = 0.0) -> ValueFunction:
@@ -269,7 +271,7 @@ class Lottery:
 
     def __init__(self, probs, outcomes):
         p, _ = _as_probabilities(probs, "lottery probabilities")
-        z = np.asarray(outcomes, dtype=float)
+        z = np.array(outcomes, dtype=float)
         if z.shape != p.shape:
             raise ValueError("probabilities and outcomes must have equal length")
         if not np.isfinite(z).all():
@@ -297,8 +299,8 @@ class RegretTriples:
 
     def __init__(self, probs, counterfactual, realized):
         p, _ = _as_probabilities(probs, "regret probabilities")
-        zc = np.asarray(counterfactual, dtype=float)
-        zr = np.asarray(realized, dtype=float)
+        zc = np.array(counterfactual, dtype=float)
+        zr = np.array(realized, dtype=float)
         if zc.shape != p.shape or zr.shape != p.shape:
             raise ValueError("outcome vectors must match the probability vector")
         if not (np.all(np.isfinite(zc)) and np.all(np.isfinite(zr))):

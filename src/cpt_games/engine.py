@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibratedForecaster, ForecastRecord, calibration_score
-from .cpt import row_values
+from .cpt import PROB_SUM_TOL, row_values
 from .equilibrium import best_reaction
 from .games import Game, JointDistribution, OpponentDistribution, player_rows
 
@@ -318,6 +318,9 @@ def run_engine(
         mixes, assess = plan
         if mixes.shape != (T, game.num_actions(i)):
             raise ValueError(f"player {i}'s plan has mixes of shape {mixes.shape}")
+        sums = mixes.sum(axis=1)  # the tests below are written so that NaN fails them
+        if not ((mixes >= -PROB_SUM_TOL).all() and (abs(sums - 1.0) <= PROB_SUM_TOL).all()):
+            raise ValueError(f"player {i}'s plan has mixes that are not distributions")
         mix_log[i] = mixes
         planned.append(i)
         if assess is not None:

@@ -374,8 +374,6 @@ def check_mediated_eq(
         hulls[f"{i}:{a_i}"] = cert.witness
         if cert.margin < worst:
             worst, worst_key = cert.margin, (i, a_i)
-    if worst_key is None:
-        return Certificate(True, np.inf, {"kind": "none"})
     member = worst >= -tol
     witness = {"kind": "mediated", "per_action": hulls}
     if not member:

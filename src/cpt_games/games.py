@@ -100,16 +100,16 @@ class Game:
         return int(math.prod(self.opponent_shape(i)))
 
 
-def _validate_joint(weights: np.ndarray, allow_zero: bool) -> np.ndarray:
+def _validate_joint(weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=float).copy()
     if not np.all(np.isfinite(w)):
         raise ValueError("distribution weights must be finite")
     if np.any(w < -PROB_SUM_TOL):
         raise ValueError("distribution weights must be nonnegative")
     np.clip(w, 0.0, None, out=w)
-    s = w.sum()
-    if allow_zero and s == 0.0:
-        return w
+    s = float(w.sum())
+    if s == 0.0:
+        raise ValueError("distribution has no mass")
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"distribution must sum to 1 (got {s!r})")
     if s != 1.0:
@@ -121,20 +121,15 @@ def _validate_joint(weights: np.ndarray, allow_zero: bool) -> np.ndarray:
 class JointDistribution:
     """Probability distribution over full action profiles.
 
-    ``weights`` has one axis per player.  The all-zero array is accepted as
-    the conventional seed for empirical averaging.
+    ``weights`` has one axis per player and unit mass.
     """
 
     weights: np.ndarray
 
     def __init__(self, weights):
-        w = _validate_joint(weights, allow_zero=True)
+        w = _validate_joint(weights)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def zeros(cls, shape: Sequence[int]) -> "JointDistribution":
-        return cls(np.zeros(tuple(shape)))
 
     @classmethod
     def point_mass(cls, shape: Sequence[int], profile: Sequence[int]) -> "JointDistribution":
@@ -163,7 +158,7 @@ class ProductDistribution:
     def __init__(self, factors):
         fs = []
         for k, f in enumerate(factors):
-            v = _validate_joint(np.asarray(f, dtype=float), allow_zero=False)
+            v = _validate_joint(np.asarray(f, dtype=float))
             if v.ndim != 1:
                 raise ValueError(f"factor {k} must be a 1-d distribution")
             v.setflags(write=False)
@@ -194,7 +189,7 @@ class OpponentDistribution:
     weights: np.ndarray
 
     def __init__(self, player: int, weights):
-        w = _validate_joint(np.asarray(weights, dtype=float), allow_zero=False)
+        w = _validate_joint(np.asarray(weights, dtype=float))
         w.setflags(write=False)
         object.__setattr__(self, "player", int(player))
         object.__setattr__(self, "weights", w)
@@ -251,8 +246,8 @@ def empirical_update(
 ) -> JointDistribution:
     """Running empirical average after observing ``profile`` at step ``t``.
 
-    ``xi`` is the average of the first t-1 profiles (the all-zero
-    distribution when t == 1).
+    ``xi`` is the average of the first t-1 profiles; at t == 1 it is
+    multiplied by zero, so any distribution of the right shape will do.
     """
     if t < 1:
         raise ValueError("step must be >= 1")

@@ -75,8 +75,6 @@ class MediatedGame:
         shape = tuple(len(sig) for sig in labels)
         if mediator.shape != shape:
             raise ValueError("mediator distribution shape does not match the signal sets")
-        if not mediator.weights.any():
-            raise ValueError("mediator distribution has no mass")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "signals", labels)
         object.__setattr__(self, "mediator", mediator)

@@ -38,9 +38,7 @@ from .engine import (
     regret_matrix_from_counts,
     run_engine,
 )
-from .equilibrium import (
-    DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq, mediated_hull_distance,
-)
+from .equilibrium import DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq
 from .games import Game, JointDistribution
 
 __all__ = [
@@ -188,17 +186,19 @@ def scripted_cycle_run(
     scores = [max_calibration_score(trace, i) for i in range(game.n)]
     corr = check_correlated_eq(game, xi)
     region_cache: dict = {}
-    med = check_mediated_eq(game, xi, resolution=resolution, tol=tol, region_cache=region_cache)
-    # proportional checkpoints share their xi bit for bit: one hull check each
-    by_xi: dict[bytes, float] = {}
+    # proportional checkpoints share their xi bit for bit: one mediated check
+    # each; the horizon checkpoint's xi is the final empirical distribution
+    by_xi: dict = {}
     for cp in trace.checkpoints:
         key = cp.xi.tobytes()
         if key not in by_xi:
-            by_xi[key] = mediated_hull_distance(
+            by_xi[key] = check_mediated_eq(
                 game, JointDistribution(cp.xi), resolution=resolution, tol=tol,
                 region_cache=region_cache,
             )
-    distances = [(cp.t, by_xi[cp.xi.tobytes()]) for cp in trace.checkpoints]
+    med = by_xi[trace.checkpoints[-1].xi.tobytes()]
+    # 0.0 first: a self-certified conditional's -margin is -0.0
+    distances = [(cp.t, max(0.0, -by_xi[cp.xi.tobytes()].margin)) for cp in trace.checkpoints]
     report = {
         "variant": variant,
         "horizon": T,

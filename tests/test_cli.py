@@ -36,8 +36,10 @@ def files(tmp_path):
         paths[name] = str(p)
 
     put("game.json", game_to_dict(game))
-    put("mu_o.json", distribution_to_dict(JointDistribution(odd_cycle_distribution())))
+    mu_o = distribution_to_dict(JointDistribution(odd_cycle_distribution()))
+    put("mu_o.json", mu_o)
     put("mu_star.json", distribution_to_dict(JointDistribution(cycle_average_distribution())))
+    put("zero.json", {**mu_o, "weights": [0.0] * len(mu_o["weights"])})
     prefs = preferences_to_dict(game.prefs[0])
     put("prefs.json", prefs)
     put(
@@ -117,6 +119,15 @@ class TestCheck:
                      "--dist", files["mu_o.json"], "--mode", "correlated"])
         assert code == 2
         assert "cannot parse input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["correlated", "nash", "mediated"])
+    def test_all_zero_distribution_exits_2(self, files, mode, capsys):
+        code = main(["check", "--game", files["game.json"], "--dist", files["zero.json"],
+                     "--mode", mode])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "distribution has no mass" in captured.err
 
     def test_shape_mismatch_exits_3(self, files, tmp_path, capsys):
         dump_json(

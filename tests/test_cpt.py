@@ -114,6 +114,14 @@ class TestValueFunction:
         assert v(4.0) == pytest.approx(2.0)
         assert v(-4.0) == pytest.approx(-4.0)  # loss aversion doubles the power
 
+    @pytest.mark.parametrize(
+        "v", [piecewise_power_value(0.0, 0.7, 0.8, 2.0), identity_value(0.5)]
+    )
+    def test_scalar_is_valued_like_a_one_element_array(self, v):
+        xs = np.random.default_rng(3).uniform(-3.0, 3.0, 20_000)
+        assert [v(x) for x in xs.tolist()] == [v(np.array([x]))[0] for x in xs.tolist()]
+        assert [v(x) for x in xs] == v(xs).tolist()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             piecewise_power_value(0.0, 1.5, 0.5, 2.0)
@@ -138,6 +146,26 @@ class TestLottery:
     def test_zero_probability_and_duplicates_allowed(self):
         lot = Lottery([0.0, 0.5, 0.5], [3.0, 3.0, 1.0])
         assert len(lot) == 3
+
+    def test_owns_its_outcomes(self, prelec_prefs):
+        z = np.array([1.0, 2.0])
+        lot = Lottery([0.5, 0.5], z)
+        before = cpt_value(lot, prelec_prefs)
+        assert z.flags.writeable and not lot.outcomes.flags.writeable
+        z[0] = 3.0
+        assert cpt_value(lot, prelec_prefs) == before
+        assert lot.outcomes.tolist() == [1.0, 2.0]
+
+    def test_regret_triples_own_their_outcomes(self, prelec_prefs):
+        zc, zr = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+        triples = RegretTriples([0.25, 0.75], zc, zr)
+        before = cpt_regret(triples, prelec_prefs)
+        assert zc.flags.writeable and zr.flags.writeable
+        zc[:] = 9.0
+        zr[:] = -9.0
+        assert cpt_regret(triples, prelec_prefs) == before
+        assert triples.counterfactual.tolist() == [1.0, 2.0]
+        assert triples.realized.tolist() == [0.5, -1.0]
 
 
 class TestRankOutcomes:

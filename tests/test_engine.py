@@ -10,6 +10,7 @@ from cpt_games.engine import (
     AssessmentDrivenStrategy,
     FixedMixStrategy,
     ForecastingBestReaction,
+    MixScheduleStrategy,
     Strategy,
     assessment_record,
     cpt_regret_matrix,
@@ -315,6 +316,26 @@ def test_plan_of_the_wrong_shape_is_rejected():
     game = counterexample_game()
     with pytest.raises(ValueError, match="plan"):
         run_engine(game, [FixedMixStrategy([0.2, 0.3, 0.5]), block_adversary(5)], 20, 0)
+
+
+@pytest.mark.parametrize("mix", [[0.2, 0.2], [1.2, -0.2], [np.nan, 1.0]])
+def test_plan_of_non_distributions_is_rejected(mix):
+    game = counterexample_game()
+    with pytest.raises(ValueError, match="player 0's plan has mixes that are not distributions"):
+        run_engine(game, [FixedMixStrategy(mix), block_adversary(5)], 20, 0)
+
+
+def test_planned_dirichlet_mixes_match_reference_loop():
+    # the distribution check reads the plan only: valid mixes play as before
+    game = counterexample_game()
+    rows = np.random.default_rng(11).dirichlet(np.ones(4), size=300)
+    make = lambda: [
+        FixedMixStrategy(np.random.default_rng(12).dirichlet(np.ones(2))),
+        MixScheduleStrategy(lambda t: rows[t - 1]),
+    ]
+    for seed in (0, 5):
+        trace = run_engine(game, make(), 300, seed)
+        assert_matches_reference(trace, reference_run(game, make(), 300, seed))
 
 
 def regret_matrix_by_pairs(game, i, counts, t):

@@ -37,6 +37,18 @@ class TestGameValidation:
         assert all(p.is_eut for p in g.prefs)
 
 
+class TestJointDistribution:
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 3)])
+    def test_all_zero_has_no_mass(self, shape):
+        with pytest.raises(ValueError, match="^distribution has no mass$"):
+            JointDistribution(np.zeros(shape))
+
+    def test_tiny_mass_must_sum_to_1(self):
+        # the sum is printed as a plain float, not as np.float64(...)
+        with pytest.raises(ValueError, match=r"^distribution must sum to 1 \(got 8e-12\)$"):
+            JointDistribution(np.full((2, 4), 1e-12))
+
+
 class TestMarginal:
     def test_cycle_average_row_marginal(self, mu_star):
         assert np.allclose(marginal(mu_star, 0), [1.0, 0.0])
@@ -100,18 +112,30 @@ class TestInducedLottery:
 
 class TestEmpiricalUpdate:
     def test_first_step_point_mass(self):
-        xi = empirical_update(JointDistribution.zeros((2, 4)), (1, 3), 1)
+        xi = empirical_update(JointDistribution.point_mass((2, 4), (0, 0)), (1, 3), 1)
         assert xi.weights[1, 3] == 1.0
 
+    def test_first_step_ignores_the_seed(self):
+        rng = np.random.default_rng(5)
+        seeds = [
+            JointDistribution(rng.dirichlet(np.ones(8)).reshape(2, 4)),
+            JointDistribution(np.full((2, 4), 0.125)),
+            JointDistribution.point_mass((2, 4), (1, 3)),
+            JointDistribution.point_mass((2, 4), (0, 2)),
+        ]
+        want = JointDistribution.point_mass((2, 4), (1, 3)).weights
+        for xi in seeds:
+            assert np.array_equal(empirical_update(xi, (1, 3), 1).weights, want)
+
     def test_alternating_profiles(self):
-        xi = JointDistribution.zeros((2, 2))
+        xi = JointDistribution(np.full((2, 2), 0.25))
         for t in range(1, 11):
             xi = empirical_update(xi, (0, 0) if t % 2 else (1, 1), t)
         assert xi.weights[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert xi.weights[1, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_cyclic_play_reaches_cycle_average(self, mu_star):
-        xi = JointDistribution.zeros((2, 4))
+        xi = JointDistribution(np.full((2, 4), 0.125))
         for t in range(1, 41):
             xi = empirical_update(xi, (0, (t - 1) % 4), t)
         assert np.abs(xi.weights - mu_star.weights).max() < 1e-12
@@ -121,7 +145,7 @@ class TestEmpiricalUpdate:
         T = 10**6
         rows = rng.integers(0, 2, T)
         cols = rng.integers(0, 4, T)
-        xi = JointDistribution.zeros((2, 4))
+        xi = JointDistribution(np.full((2, 4), 0.125))
         for t in range(1, T + 1):
             xi = empirical_update(xi, (rows[t - 1], cols[t - 1]), t)
         counts = np.zeros((2, 4))

@@ -50,9 +50,8 @@ def star_witnesses(mu_star):
 
 
 def test_massless_mediator_rejected(game):
-    # an all-zero mediator is a valid JointDistribution but sends no signal
     with pytest.raises(ValueError, match="no mass"):
-        MediatedGame(game, game.actions, JointDistribution.zeros(game.shape))
+        MediatedGame(game, game.actions, JointDistribution(np.zeros(game.shape)))
 
 
 class TestPushforward:
