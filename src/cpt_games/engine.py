@@ -4,7 +4,9 @@ One run plays a stage game for T steps.  A strategy either plans or reads
 history.  A planning strategy (``Strategy.plan``) ignores history: it hands
 the engine the mixed actions of all T steps, and the assessments of the
 opponents that produced them, before play starts; the engine samples its
-actions a block of steps at a time and never calls its ``observe``.  Only
+actions a block of steps at a time and never calls its ``observe``.  A
+history-free schedule is a function of the array of steps 1..T that
+returns the (T, width) array of their rows.  Only
 strategies whose ``plan`` returns None go through the step loop: at each
 step they produce a mixed action (possibly after drawing an assessment),
 the engine samples their actions, and they observe the full profile.
@@ -52,8 +54,8 @@ __all__ = [
     "max_calibration_score",
 ]
 
-# Steps every player's Philox blocks and per-step script calls are taken in
-# at a time, so temporaries stay bounded at any horizon.
+# Steps every player's Philox blocks are drawn in at a time, so the draw
+# temporaries stay bounded at any horizon.
 PLAN_BLOCK_STEPS = 4096
 
 
@@ -85,14 +87,12 @@ class Strategy:
         pass
 
 
-def _per_step(fn, T: int, width: int) -> np.ndarray:
-    """(T, width) array of ``fn(t)`` flattened, for t = 1..T."""
-    out = np.empty((T, width))
-    for s in range(0, T, PLAN_BLOCK_STEPS):
-        e = min(s + PLAN_BLOCK_STEPS, T)
-        rows = [fn(t) for t in range(s + 1, e + 1)]
-        out[s:e] = np.array(rows, dtype=float).reshape(e - s, width)
-    return out
+def _plan_rows(rows, T: int, width: int, i: int, what: str) -> np.ndarray:
+    """``rows`` as a float (T, width) array, or ValueError naming player i."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (T, width):
+        raise ValueError(f"player {i}'s plan has {what} of shape {rows.shape}, not {(T, width)}")
+    return rows
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,38 +120,37 @@ class FixedMixStrategy(Strategy):
 
 
 class MixScheduleStrategy(Strategy):
-    """Plays a step-dependent mixed action given by ``schedule(t)``."""
+    """Plays the (T, |A_i|) mixed actions ``schedule(steps)`` of steps 1..T."""
 
     def __init__(self, schedule):
         self.schedule = schedule
 
     def plan(self, T):
-        return _per_step(self.schedule, T, self.game.num_actions(self.player)), None
+        return self.schedule(np.arange(1, T + 1)), None
 
 
 class ActionScriptStrategy(Strategy):
-    """Plays ``action_at(t)`` deterministically; can log scripted assessments."""
+    """Plays the (T,) actions ``action_at(steps)``; can log scripted assessments."""
 
     def __init__(self, action_at, assessment_at=None):
         self.action_at = action_at
         self.assessment_at = assessment_at
 
     def plan(self, T):
-        steps = range(1, T + 1)
-        acts = np.fromiter((int(self.action_at(t)) for t in steps), dtype=np.int64, count=T)
-        mixes = np.eye(self.game.num_actions(self.player))[acts]
+        steps = np.arange(1, T + 1)
+        mixes = np.eye(self.game.num_actions(self.player))[self.action_at(steps)]
         if self.assessment_at is None:
             return mixes, None
-        d = self.game.num_opponent_profiles(self.player)
-        return mixes, _per_step(self.assessment_at, T, d)
+        return mixes, self.assessment_at(steps)
 
 
 class AssessmentDrivenStrategy(Strategy):
     """Best-reacts to a scripted assessment of the opponents.
 
-    ``assessment_at(t)`` returns a distribution over opponent profiles
-    (flat, row-major over the other players).  The plan computes one best
-    reaction per distinct assessment, which keeps long scripted runs cheap.
+    ``assessment_at(steps)`` returns the (T, d) distributions over opponent
+    profiles (flat, row-major over the other players) of steps 1..T.  The
+    plan computes one best reaction per distinct assessment, which keeps
+    long scripted runs cheap.
     """
 
     def __init__(self, assessment_at):
@@ -159,7 +158,8 @@ class AssessmentDrivenStrategy(Strategy):
 
     def plan(self, T):
         game, i = self.game, self.player
-        assess = _per_step(self.assessment_at, T, game.num_opponent_profiles(i))
+        d = game.num_opponent_profiles(i)
+        assess = _plan_rows(self.assessment_at(np.arange(1, T + 1)), T, d, i, "assessments")
         first, inverse = _distinct_rows(assess)
         shape = game.opponent_shape(i)
         reactions = np.array(
@@ -316,14 +316,14 @@ def run_engine(
             loop.append((i, strat))
             continue
         mixes, assess = plan
-        if mixes.shape != (T, game.num_actions(i)):
-            raise ValueError(f"player {i}'s plan has mixes of shape {mixes.shape}")
+        mixes = _plan_rows(mixes, T, game.num_actions(i), i, "mixes")
         sums = mixes.sum(axis=1)  # the tests below are written so that NaN fails them
         if not ((mixes >= -PROB_SUM_TOL).all() and (abs(sums - 1.0) <= PROB_SUM_TOL).all()):
             raise ValueError(f"player {i}'s plan has mixes that are not distributions")
         mix_log[i] = mixes
         planned.append(i)
         if assess is not None:
+            assess = _plan_rows(assess, T, game.num_opponent_profiles(i), i, "assessments")
             first, inverse = _distinct_rows(assess)
             distinct = [records[i].intern(assess[s]) for s in first]
             ids[i] = np.array(distinct, dtype=np.int64)[inverse]

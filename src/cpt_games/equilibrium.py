@@ -171,8 +171,8 @@ def check_correlated_eq(
     cases = ((i, pi, [a_i]) for i, a_i, pi in _conditionals(mu, range(game.n)))
     worst, where = _worst_deviation(game, cases)
     if where is None:
-        # single-action players everywhere; vacuously a member
-        return Certificate(True, np.inf, {"kind": "none"})
+        # single-action players everywhere: no deviation, margin 0 as in check_nash
+        worst = 0.0
     member = worst >= -tol
     witness = {"kind": "none"} if member else _violation(*where[1:])
     return Certificate(member, worst, witness, {"check": "correlated", "tol": tol})

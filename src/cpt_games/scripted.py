@@ -123,27 +123,17 @@ def cycle_average_distribution() -> np.ndarray:
     return _row0_joint(UNIFORM_MIX)
 
 
-def _alternating_assessment_2p(t: int) -> np.ndarray:
-    return ODD_MIX if t % 2 == 1 else EVEN_MIX
+def _alternating_assessment_2p(t: np.ndarray) -> np.ndarray:
+    return np.array([EVEN_MIX, ODD_MIX])[t % 2]
 
 
-def _alternating_assessment_3p(t: int) -> np.ndarray:
-    out = np.zeros((4, 4))
-    if t % 2 == 1:
-        out[0, 0] = 0.5
-        out[2, 2] = 0.5
-    else:
-        out[1, 1] = 0.5
-        out[3, 3] = 0.5
-    return out.ravel()
+def _alternating_assessment_3p(t: np.ndarray) -> np.ndarray:
+    return np.array([np.diag(EVEN_MIX).ravel(), np.diag(ODD_MIX).ravel()])[t % 2]
 
 
-def _column_assessment_3p(player: int, t: int) -> np.ndarray:
+def _column_assessment_3p(t: np.ndarray) -> np.ndarray:
     """Point mass on (row 0, the other column player's cyclic action)."""
-    c = (t - 1) % 4
-    out = np.zeros((2, 4))
-    out[0, c] = 1.0
-    return out.ravel()
+    return np.eye(8)[(t - 1) % 4]
 
 
 def scripted_cycle_run(
@@ -168,15 +158,15 @@ def scripted_cycle_run(
             AssessmentDrivenStrategy(_alternating_assessment_2p),
             ActionScriptStrategy(
                 lambda t: (t - 1) % 4,
-                assessment_at=lambda t: np.array([1.0, 0.0]),
+                assessment_at=lambda t: np.tile([1.0, 0.0], (t.size, 1)),
             ),
         ]
     elif variant == "3p":
         game = counterexample_game_3p()
         strategies = [
             AssessmentDrivenStrategy(_alternating_assessment_3p),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+            AssessmentDrivenStrategy(_column_assessment_3p),
+            AssessmentDrivenStrategy(_column_assessment_3p),
         ]
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -233,24 +223,28 @@ class BlockSchedule:
         if self.T <= 2:
             raise ValueError("block base must be an integer > 2")
 
-    def phase(self, t: int) -> str:
-        if t < 1:
+    def _odd(self, steps) -> np.ndarray:
+        """Whether each step plays the odd mix: the phase rule of every method."""
+        steps = np.asarray(steps)
+        if (steps < 1).any():
             raise ValueError("steps start at 1")
-        if t == 1:
-            return "odd"
-        if t == 2:
-            return "even"
-        top = self.T  # T^(k+1) of the block k holding t: 2 T^k < t <= 2 T^(k+1)
-        while 2 * top < t:
-            top *= self.T
-        return "odd" if t <= top else "even"
+        odd = steps == 1
+        low, top = 2, self.T  # 2 T^k and T^(k+1) of block k
+        while low < steps.max(initial=0):
+            odd |= (low < steps) & (steps <= top)
+            low, top = 2 * top, top * self.T
+        return odd
 
-    def mix(self, t: int) -> np.ndarray:
-        return ODD_MIX if self.phase(t) == "odd" else EVEN_MIX
+    def phase(self, t: int) -> str:
+        return "odd" if self._odd(t) else "even"
+
+    def mix(self, steps: np.ndarray) -> np.ndarray:
+        """(T, 4) column mixes of the steps."""
+        return np.where(self._odd(steps)[:, None], ODD_MIX, EVEN_MIX)
 
     def even_fraction(self, t: int) -> float:
         """Fraction of steps up to t on the even mix."""
-        return sum(1 for u in range(1, t + 1) if self.phase(u) == "even") / t
+        return int(np.count_nonzero(~self._odd(np.arange(1, t + 1)))) / t
 
 
 def block_adversary(T: int) -> MixScheduleStrategy:

@@ -14,7 +14,7 @@ from cpt_games.fileio import (
     load_json,
     mediated_game_to_dict,
 )
-from cpt_games.games import JointDistribution
+from cpt_games.games import Game, JointDistribution
 from cpt_games.harness import canonical_replay_instance
 from cpt_games.mediated import identity_mediated_game, obedient_profile
 from cpt_games.scripted import (
@@ -128,6 +128,23 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "distribution has no mass" in captured.err
+
+    @pytest.mark.parametrize("mode", ["correlated", "nash", "mediated"])
+    def test_one_action_game_prints_strict_json(self, mode, tmp_path, capsys):
+        # every player has one action: no deviation, so margin 0.0, never Infinity
+        dump_json(game_to_dict(Game([["x"], ["y"]], np.array([[[1.0]], [[-2.0]]]))),
+                  tmp_path / "game.json")
+        dump_json(distribution_to_dict(JointDistribution(np.ones((1, 1)))), tmp_path / "dist.json")
+        code = main(["check", "--game", str(tmp_path / "game.json"),
+                     "--dist", str(tmp_path / "dist.json"), "--mode", mode])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["verdict"] == "member" and doc["margin"] == 0.0
+        assert doc["meta"]["check"] == mode and "tol" in doc["meta"]
 
     def test_shape_mismatch_exits_3(self, files, tmp_path, capsys):
         dump_json(

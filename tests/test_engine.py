@@ -211,14 +211,16 @@ def test_run_engine_matches_reference_loop(case):
         game = counterexample_game()
         make = lambda: [
             AssessmentDrivenStrategy(_alternating_assessment_2p),
-            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+            ActionScriptStrategy(
+                lambda t: (t - 1) % 4, assessment_at=lambda t: np.tile([1.0, 0.0], (t.size, 1))
+            ),
         ]
     elif case == "scripted-3p":
         game = counterexample_game_3p()
         make = lambda: [
             AssessmentDrivenStrategy(_alternating_assessment_3p),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+            AssessmentDrivenStrategy(_column_assessment_3p),
+            AssessmentDrivenStrategy(_column_assessment_3p),
         ]
     elif case == "1x3":
         game = random_game(np.random.default_rng(3), (1, 3))
@@ -280,14 +282,16 @@ def test_planned_play_matches_reference_loop(case):
         game = counterexample_game()
         make = lambda: [
             AssessmentDrivenStrategy(_alternating_assessment_2p),
-            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+            ActionScriptStrategy(
+                lambda t: (t - 1) % 4, assessment_at=lambda t: np.tile([1.0, 0.0], (t.size, 1))
+            ),
         ]
     elif case == "scripted-3p":
         game = counterexample_game_3p()
         make = lambda: [
             AssessmentDrivenStrategy(_alternating_assessment_3p),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+            AssessmentDrivenStrategy(_column_assessment_3p),
+            AssessmentDrivenStrategy(_column_assessment_3p),
         ]
     elif case == "planned-around-forecaster":
         # the step loop runs only over the forecaster, between two planned players
@@ -316,6 +320,69 @@ def test_plan_of_the_wrong_shape_is_rejected():
     game = counterexample_game()
     with pytest.raises(ValueError, match="plan"):
         run_engine(game, [FixedMixStrategy([0.2, 0.3, 0.5]), block_adversary(5)], 20, 0)
+
+
+def _one_row(row):
+    return lambda t: np.asarray(row, dtype=float)
+
+
+def _rows_of_width(width):
+    return lambda t: np.full((t.size, width), 1.0 / width)
+
+
+class CustomPlan(Strategy):
+    """Uniform over four actions, with the assessments ``assess(T)``."""
+
+    def __init__(self, assess):
+        self.assess = assess
+
+    def plan(self, T):
+        return np.tile([0.25] * 4, (T, 1)), self.assess(T)
+
+
+@pytest.mark.parametrize(
+    "player, strategy, what",
+    [
+        (1, MixScheduleStrategy(_one_row([0.25] * 4)), "mixes"),
+        (1, MixScheduleStrategy(_rows_of_width(3)), "mixes"),
+        (1, ActionScriptStrategy(lambda t: 2), "mixes"),
+        (1, ActionScriptStrategy(lambda t: (t - 1) % 4, _one_row([1.0, 0.0])), "assessments"),
+        (1, ActionScriptStrategy(lambda t: (t - 1) % 4, _rows_of_width(3)), "assessments"),
+        (1, AssessmentDrivenStrategy(_one_row([1.0, 0.0])), "assessments"),
+        (0, AssessmentDrivenStrategy(_one_row([0.25] * 4)), "assessments"),
+        (0, AssessmentDrivenStrategy(_rows_of_width(3)), "assessments"),
+        (1, CustomPlan(lambda T: np.array([1.0, 0.0])), "assessments"),
+        (1, CustomPlan(lambda T: np.full((T, 3), 1.0 / 3)), "assessments"),
+    ],
+)
+def test_schedule_of_the_wrong_shape_is_rejected(player, strategy, what):
+    # a schedule maps the (T,) steps to a (T, width) array, not to one row;
+    # run_engine holds a custom plan to the same shapes
+    game = counterexample_game()
+    strategies = [FixedMixStrategy([1.0, 0.0]), FixedMixStrategy([0.25] * 4)]
+    strategies[player] = strategy
+    with pytest.raises(ValueError, match=f"player {player}'s plan has {what} of shape"):
+        run_engine(game, strategies, 20, 0)
+
+
+def test_schedules_are_called_once_per_plan():
+    calls = []
+
+    def counted(fn):
+        def schedule(t):
+            calls.append(t.shape)
+            return fn(t)
+        return schedule
+
+    game = counterexample_game_3p()
+    T = 2 * PLAN_BLOCK_STEPS + 5
+    strategies = [
+        AssessmentDrivenStrategy(counted(_alternating_assessment_3p)),
+        ActionScriptStrategy(counted(lambda t: (t - 1) % 4), counted(_column_assessment_3p)),
+        MixScheduleStrategy(counted(block_adversary(3).schedule)),
+    ]
+    run_engine(game, strategies, T, 0, checkpoints=False)
+    assert calls == [(T,)] * 4
 
 
 @pytest.mark.parametrize("mix", [[0.2, 0.2], [1.2, -0.2], [np.nan, 1.0]])
@@ -439,7 +506,9 @@ class TestAssessmentLogging:
         g = counterexample_game()
         strategies = [
             AssessmentDrivenStrategy(_alternating_assessment_2p),
-            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+            ActionScriptStrategy(
+                lambda t: (t - 1) % 4, assessment_at=lambda t: np.tile([1.0, 0.0], (t.size, 1))
+            ),
         ]
         trace = run_engine(g, strategies, 400, 0)
         assert max_calibration_score(trace, 0) == 0.0
@@ -498,14 +567,16 @@ def test_assessment_record_matches_reference(case):
         game = counterexample_game()
         make = lambda: [
             AssessmentDrivenStrategy(_alternating_assessment_2p),
-            ActionScriptStrategy(lambda t: (t - 1) % 4, assessment_at=lambda t: np.array([1.0, 0.0])),
+            ActionScriptStrategy(
+                lambda t: (t - 1) % 4, assessment_at=lambda t: np.tile([1.0, 0.0], (t.size, 1))
+            ),
         ]
     else:
         game = counterexample_game_3p()
         make = lambda: [
             AssessmentDrivenStrategy(_alternating_assessment_3p),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(1, t)),
-            AssessmentDrivenStrategy(lambda t: _column_assessment_3p(2, t)),
+            AssessmentDrivenStrategy(_column_assessment_3p),
+            AssessmentDrivenStrategy(_column_assessment_3p),
         ]
     for seed in (0, 1, 7):
         trace = run_engine(game, make(), 300, seed, checkpoints=False)
@@ -528,7 +599,7 @@ class TestBestReactionStrategies:
         unif = np.full(4, 0.25)
         for assess, expected in ((odd, 0), (unif, 1)):
             strategies = [
-                AssessmentDrivenStrategy(lambda t, a=assess: a),
+                AssessmentDrivenStrategy(lambda t, a=assess: np.tile(a, (t.size, 1))),
                 FixedMixStrategy([0.25] * 4),
             ]
             trace = run_engine(g, strategies, 50, 2)
@@ -539,7 +610,7 @@ class TestBestReactionStrategies:
         g = random_game(rng, (3, 2), eut=True)
         point = np.array([0.0, 1.0])
         strategies = [
-            AssessmentDrivenStrategy(lambda t: point),
+            AssessmentDrivenStrategy(lambda t: np.tile(point, (t.size, 1))),
             FixedMixStrategy([0.5, 0.5]),
         ]
         trace = run_engine(g, strategies, 20, 1)

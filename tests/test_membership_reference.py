@@ -302,8 +302,9 @@ class TestDegenerateGames:
         game = Game([["x"], ["y"]], np.array([[[1.0]], [[-2.0]]]))
         mu, pd, mg, sigma = pure_play(game, (0, 0))
         corr = check_correlated_eq(game, mu)
-        assert corr.member and corr.margin == np.inf
+        assert corr.member and corr.margin == 0.0
         assert corr.witness == {"kind": "none"}
+        assert corr.meta == {"check": "correlated", "tol": DEFAULT_TOL}
         for cert in (check_nash(game, pd), verify_mediated_nash(mg, sigma)):
             assert cert.member and cert.margin == 0.0
             assert cert.witness == {"kind": "none"}

@@ -33,7 +33,12 @@ from cpt_games.engine import ForecastingBestReaction, regret_matrix_from_counts,
 from cpt_games.equilibrium import action_values, region_membership
 from cpt_games.games import Game, OpponentDistribution, player_rows
 from cpt_games.harness import random_game
-from cpt_games.scripted import scripted_cycle_run
+from cpt_games.scripted import (
+    block_adversary,
+    counterexample_game,
+    probe_strategy_family,
+    scripted_cycle_run,
+)
 
 # ---------------------------------------------------------------------------
 # frozen reference: the scalar evaluator, one Lottery per valuation
@@ -369,4 +374,22 @@ def test_forecaster_play_is_pinned(g):
 )
 def test_scripted_runs_are_pinned(variant, digest):
     trace, _ = scripted_cycle_run(variant, 64, resolution=6, seed=5)
+    assert trace_digest(trace) == digest
+
+
+@pytest.mark.parametrize(
+    "family, T_block, k, seed, digest",
+    [
+        ("always-top", 3, 3, 3, "93b2058072ec0c50e39c9f3206e1502ae6fd9f0152c77bdb5c55e4f10859ad6c"),
+        ("always-bottom", 4, 2, 0, "352efb8c468da3632e92aebe3175191afc6fbe325143965b33ad6ba4e288c8ed"),
+        ("always-top", 7, 3, 2, "3f3c2ebe7e6d31260dabc4fa7cf782215f48e7804ba505d862c43483a03f9a2a"),
+        ("always-bottom", 5, 4, 1, "f65693d432d473ac971934ea22edd42382598cc69a4c4f54ca2708a870058564"),
+    ],
+)
+def test_planned_tail_probe_runs_are_pinned(family, T_block, k, seed, digest):
+    # the tail probe's runs against the block adversary, at 162, 128, 4802
+    # and 6250 steps: the last two are longer than one PLAN_BLOCK_STEPS block
+    horizon = 2 * T_block ** (k + 1)
+    strategies = [probe_strategy_family(family)(), block_adversary(T_block)]
+    trace = run_engine(counterexample_game(), strategies, horizon, seed, checkpoints=False)
     assert trace_digest(trace) == digest

@@ -8,6 +8,8 @@ import pytest
 from cpt_games.cpt import evaluate_weight
 from cpt_games.equilibrium import mediated_hull_distance
 from cpt_games.scripted import (
+    EVEN_MIX,
+    ODD_MIX,
     BlockSchedule,
     block_adversary,
     counterexample_game,
@@ -86,6 +88,19 @@ class TestScriptedCycleRun:
             scripted_cycle_run("4p", 100)
 
 
+def reference_phase(T, t):
+    """Block k: odd on (2 T^k, T^(k+1)], even on (T^(k+1), 2 T^(k+1)]."""
+    if t <= 2:
+        return "odd" if t == 1 else "even"
+    k = 0
+    while True:
+        if 2 * T**k < t <= T ** (k + 1):
+            return "odd"
+        if T ** (k + 1) < t <= 2 * T ** (k + 1):
+            return "even"
+        k += 1
+
+
 class TestBlockSchedule:
     def test_first_steps(self):
         sched = BlockSchedule(5)
@@ -108,21 +123,15 @@ class TestBlockSchedule:
                 assert 0.5 <= f2 <= 0.5 + 1.0 / T
 
     def test_phase_matches_block_definition(self):
-        # block k: odd on (2 T^k, T^(k+1)], even on (T^(k+1), 2 T^(k+1)]
-        def reference_phase(T, t):
-            if t <= 2:
-                return "odd" if t == 1 else "even"
-            k = 0
-            while True:
-                if 2 * T**k < t <= T ** (k + 1):
-                    return "odd"
-                if T ** (k + 1) < t <= 2 * T ** (k + 1):
-                    return "even"
-                k += 1
-
         for T in (3, 4, 5, 7):
             sched = BlockSchedule(T)
             assert all(sched.phase(t) == reference_phase(T, t) for t in range(1, 20000))
+
+    @pytest.mark.parametrize("T", [3, 4, 5, 7])
+    def test_mix_matches_block_definition(self, T):
+        steps = np.arange(1, 20000)
+        want = [ODD_MIX if reference_phase(T, t) == "odd" else EVEN_MIX for t in steps]
+        assert np.array_equal(BlockSchedule(T).mix(steps), np.array(want))
 
     def test_rejects_small_base(self):
         with pytest.raises(ValueError):
