@@ -192,11 +192,10 @@ class CalibratedForecaster:
 
     def _go_live(self, r: int) -> int:
         """Swap slot r into slot ``_m`` and make it live; returns its new slot."""
+        # neither point was ever live, so rows r and m and their sums are zero
         m = self._m
         pos = self._pos
-        pos[[r, m]] = pos[[m, r]]
         pos[:, [r, m]] = pos[:, [m, r]]
-        self._rows[[r, m]] = self._rows[[m, r]]
         k, other = self._point[r], self._point[m]
         self._point[r], self._point[m] = other, k
         self._slot[k], self._slot[other] = m, r

@@ -95,6 +95,13 @@ def _plan_rows(rows, T: int, width: int, i: int, what: str) -> np.ndarray:
     return rows
 
 
+def _require_distributions(mixes: np.ndarray, i: int, source: str) -> None:
+    """ValueError naming player i unless every row of ``mixes`` is a distribution."""
+    sums = mixes.sum(axis=1)  # the tests below are written so that NaN fails them
+    if not ((mixes >= -PROB_SUM_TOL).all() and (abs(sums - 1.0) <= PROB_SUM_TOL).all()):
+        raise ValueError(f"player {i}'s {source} has mixes that are not distributions")
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows distinct by their float64 bytes: (first step of each, step -> distinct row).
 
@@ -317,9 +324,7 @@ def run_engine(
             continue
         mixes, assess = plan
         mixes = _plan_rows(mixes, T, game.num_actions(i), i, "mixes")
-        sums = mixes.sum(axis=1)  # the tests below are written so that NaN fails them
-        if not ((mixes >= -PROB_SUM_TOL).all() and (abs(sums - 1.0) <= PROB_SUM_TOL).all()):
-            raise ValueError(f"player {i}'s plan has mixes that are not distributions")
+        _require_distributions(mixes, i, "plan")
         mix_log[i] = mixes
         planned.append(i)
         if assess is not None:
@@ -351,6 +356,8 @@ def run_engine(
             profile = tuple(row.tolist())
             for _, strat in loop:
                 strat.observe(t, profile)
+        for i, _ in loop:
+            _require_distributions(mix_log[i][s:e], i, "step loop")
 
     return RunTrace(
         seed=int(seed),

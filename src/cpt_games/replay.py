@@ -113,8 +113,10 @@ def construct_calibrated_replay(
     ``repair_points[(player, signal)]`` lists opponent-mix vectors used to
     perturb that signal's assessment on successive occurrence blocks; they
     must lie in the acceptance region of the signal's action and be
-    distinct from every other assessment.  A collision without repair
-    points raises :class:`AssessmentCollisionError`.
+    distinct from every other assessment.  A signal needs repair points
+    only when the lowest signal with the same assessment plays another
+    action; such a collision without repair points raises
+    :class:`AssessmentCollisionError` naming the two signals.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -124,76 +126,65 @@ def construct_calibrated_replay(
     n = game.n
     repair_points = repair_points or {}
 
-    # supported signals, their assessments and pure actions
+    # supported signals and their assessments
     assess: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    act: list[dict[int, int]] = [dict() for _ in range(n)]
     for i in range(n):
         psi_i = mg.signal_marginal(i)
         for b in range(len(mg.signals[i])):
-            if psi_i[b] <= 0.0:
-                continue
-            assess[i][b] = signal_assessment(mg, sigma, i, b).flat()
-            act[i][b] = sigma.pure_action(i, b)
+            if psi_i[b] > 0.0:
+                assess[i][b] = signal_assessment(mg, sigma, i, b).flat()
+    used_keys = {_assessment_key(vec) for a_i in assess for vec in a_i.values()}
 
-    # collision scan: group supported signals by assessment key
-    repaired: list[dict[int, list[np.ndarray]]] = [dict() for _ in range(n)]
-    used_keys: set[bytes] = set()
+    # one record per supported signal, in ascending order: its action, the
+    # vectors it shows and whether they are repair points
+    per_signal: list[dict[int, tuple[int, list[np.ndarray], bool]]] = [dict() for _ in range(n)]
     for i in range(n):
+        lowest: dict[bytes, tuple[int, int]] = {}
         for b, vec in assess[i].items():
-            used_keys.add(_assessment_key(vec))
-    for i in range(n):
-        groups: dict[bytes, list[int]] = {}
-        for b in sorted(assess[i]):
-            groups.setdefault(_assessment_key(assess[i][b]), []).append(b)
-        for key, members in groups.items():
-            actions_here = {act[i][b] for b in members}
-            if len(actions_here) <= 1:
+            a = sigma.pure_action(i, b)
+            first, first_action = lowest.setdefault(_assessment_key(vec), (b, a))
+            if a == first_action:
+                per_signal[i][b] = (a, [vec], False)
                 continue
-            # lowest signal keeps the original assessment; others need repair
-            for b in members[1:]:
-                pts = repair_points.get((i, b))
-                if not pts:
-                    raise AssessmentCollisionError(i, members[0], b)
-                validated = []
-                for p_idx, p in enumerate(pts):
-                    vec = np.asarray(p, dtype=float).ravel()
-                    pkey = _assessment_key(vec)
-                    if pkey in used_keys:
-                        raise ValueError(
-                            f"repair point {p_idx} for player {i} signal {b} "
-                            "coincides with an assessment already in use"
-                        )
-                    pi = OpponentDistribution(i, vec.reshape(game.opponent_shape(i)))
-                    if _region_margin(game, i, act[i][b], pi) < -DEFAULT_TOL:
-                        raise ValueError(
-                            f"repair point {p_idx} for player {i} signal {b} "
-                            "is outside the acceptance region of its action"
-                        )
-                    used_keys.add(pkey)
-                    validated.append(vec)
-                repaired[i][b] = validated
+            pts = repair_points.get((i, b))
+            if not pts:
+                raise AssessmentCollisionError(i, first, b)
+            validated = []
+            for p_idx, p in enumerate(pts):
+                pvec = np.asarray(p, dtype=float).ravel()
+                pkey = _assessment_key(pvec)
+                if pkey in used_keys:
+                    raise ValueError(
+                        f"repair point {p_idx} for player {i} signal {b} "
+                        "coincides with an assessment already in use"
+                    )
+                pi = OpponentDistribution(i, pvec.reshape(game.opponent_shape(i)))
+                if _region_margin(game, i, a, pi) < -DEFAULT_TOL:
+                    raise ValueError(
+                        f"repair point {p_idx} for player {i} signal {b} "
+                        "is outside the acceptance region of its action"
+                    )
+                used_keys.add(pkey)
+                validated.append(pvec)
+            per_signal[i][b] = (a, validated, True)
 
     schedule_flat = _quota_schedule(mg.mediator, T)
     signal_shape = mg.signal_shape
     profiles = np.array(np.unravel_index(schedule_flat, signal_shape)).T  # (T, n)
 
     # per supported signal: its steps, its action, and the index into the
-    # player's table of shown vectors (a repaired signal's points by block)
+    # player's table of shown vectors; occurrence k shows the point of its
+    # block, or the last point, so a lone vector shows at every step
     actions = np.zeros((T, n), dtype=np.int64)
     tables: list[list[np.ndarray]] = [[] for _ in range(n)]
     shown = np.empty((n, T), dtype=np.intp)
     for i in range(n):
-        for b, vec in assess[i].items():
+        for b, (a, pts, _) in per_signal[i].items():
             steps = np.flatnonzero(profiles[:, i] == b)
-            actions[steps, i] = act[i][b]
-            pts = repaired[i].get(b)
-            if pts is None:
-                shown[i, steps] = len(tables[i])
-                pts = [vec]
-            else:
-                occurrence = np.arange(1, steps.size + 1)
-                block = np.searchsorted(repair_block_starts(steps.size), occurrence, side="right")
-                shown[i, steps] = len(tables[i]) + np.minimum(block, len(pts)) - 1
+            actions[steps, i] = a
+            occurrence = np.arange(1, steps.size + 1)
+            block = np.searchsorted(repair_block_starts(steps.size), occurrence, side="right")
+            shown[i, steps] = len(tables[i]) + np.minimum(block, len(pts)) - 1
             tables[i].extend(pts)
     assessments = [[table[k] for k in row] for table, row in zip(tables, shown.tolist())]
 
@@ -219,7 +210,7 @@ def construct_calibrated_replay(
         "signal_empirical_sup_distance": float(
             np.abs(sig_counts / float(T) - mg.mediator.weights).max()
         ),
-        "collisions_repaired": sum(len(r) for r in repaired),
+        "collisions_repaired": sum(rep for p_i in per_signal for _, _, rep in p_i.values()),
     }
     return ReplayScripts(
         signals=profiles, actions=actions, assessments=assessments, report=report

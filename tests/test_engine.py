@@ -392,6 +392,38 @@ def test_plan_of_non_distributions_is_rejected(mix):
         run_engine(game, [FixedMixStrategy(mix), block_adversary(5)], 20, 0)
 
 
+class StepLoopMix(Strategy):
+    """Uniform play from the step loop, except the mix ``row`` at step ``at``."""
+
+    def __init__(self, row, at):
+        self.row = np.asarray(row, dtype=float)
+        self.at = at
+
+    def mix(self, t, u):
+        if t == self.at:
+            return self.row, None
+        k = self.game.num_actions(self.player)
+        return np.full(k, 1.0 / k), None
+
+
+@pytest.mark.parametrize(
+    "player, row, at, T",
+    [
+        (0, [0.2, 0.2], 1, 50),
+        (0, [np.nan, 1.0], 50, 50),
+        (1, [0.25, 0.25, 0.25, 0.5], PLAN_BLOCK_STEPS + 3, PLAN_BLOCK_STEPS + 10),
+        (1, [1.2, -0.2, 0.0, 0.0], 7, 20),
+    ],
+)
+def test_step_loop_mixes_that_are_not_distributions_are_rejected(player, row, at, T):
+    game = counterexample_game()
+    strategies = [FixedMixStrategy([0.5, 0.5]), FixedMixStrategy([0.25] * 4)]
+    strategies[player] = StepLoopMix(row, at)
+    match = f"player {player}'s step loop has mixes that are not distributions"
+    with pytest.raises(ValueError, match=match):
+        run_engine(game, strategies, T, 0, checkpoints=False)
+
+
 def test_planned_dirichlet_mixes_match_reference_loop():
     # the distribution check reads the plan only: valid mixes play as before
     game = counterexample_game()

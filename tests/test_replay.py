@@ -1,11 +1,13 @@
 """Calibrated replay: quota schedules, collisions, perturbation repair."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from cpt_games.calibration import ForecastRecord, calibration_score
 from cpt_games.equilibrium import _region_margin
-from cpt_games.games import JointDistribution, OpponentDistribution
+from cpt_games.games import Game, JointDistribution, OpponentDistribution
 from cpt_games.harness import canonical_replay_instance
 from cpt_games.mediated import (
     MediatedGame,
@@ -230,14 +232,60 @@ def odd_cycle_instance():
     return mg, obedient_profile(mg), odd_cycle_repair()
 
 
+def random_collision_instance(seed):
+    """An indifferent game (every repair point is in the region) under a
+    random mediator with repeated slices, so that signals share assessments,
+    and a random pure profile.  Draws are kept when some signals share an
+    assessment and the signals sharing one play pairwise distinct actions;
+    every signal but the lowest of such a group gets repair points."""
+    rng = np.random.default_rng(seed)
+    while True:
+        sizes = tuple(int(k) for k in rng.integers(2, 4, size=rng.integers(2, 4)))
+        n = len(sizes)
+        game = Game([tuple(str(a) for a in range(k)) for k in sizes], np.zeros((n,) + sizes))
+        counts = tuple(int(c) for c in rng.integers(1, 5, size=n))
+        base = rng.dirichlet(np.ones(int(np.prod(counts)))).reshape(counts)
+        base[rng.random(counts) < 0.2] = 0.0
+        if not base.any():
+            continue
+        rows = [rng.integers(c, size=int(rng.integers(c, c + 3))) for c in counts]
+        psi = base[np.ix_(*rows)]
+        if not psi.any():
+            continue
+        signals = tuple(tuple(f"s{b}" for b in range(r.size)) for r in rows)
+        mg = MediatedGame(game, signals, JointDistribution(psi / psi.sum()))
+        sigma = RandomizedStrategyProfile(
+            tuple(np.eye(k)[rng.integers(k, size=r.size)] for k, r in zip(sizes, rows))
+        )
+        repair, distinct = {}, True
+        for i in range(n):
+            groups = {}
+            for b in np.flatnonzero(mg.signal_marginal(i) > 0.0).tolist():
+                key = _assessment_key(signal_assessment(mg, sigma, i, b).flat())
+                groups.setdefault(key, []).append(b)
+            for members in groups.values():
+                acts = [sigma.pure_action(i, b) for b in members]
+                distinct &= len(set(acts)) == len(acts)
+                for b in members[1:]:
+                    d = game.num_opponent_profiles(i)
+                    repair[(i, b)] = list(rng.dirichlet(np.ones(d), size=int(rng.integers(1, 5))))
+        if distinct and repair:
+            return mg, sigma, repair
+
+
 REFERENCE_HORIZONS = (1, 2, 3, 17, 64, 101, 1003, 4000, 8000)
+RANDOM_CASES = [(seed, int(T)) for seed, T in enumerate(np.random.default_rng(22).integers(1, 3001, size=24))]
 
 
 @pytest.mark.parametrize(
     "make, T",
     [(canonical_instance, T) for T in REFERENCE_HORIZONS + (20000,)]
     + [(odd_cycle_instance, T) for T in REFERENCE_HORIZONS]
-    + [(shared_assessment_instance, T) for T in (1, 17, 1003)],
+    + [(shared_assessment_instance, T) for T in (1, 17, 1003)]
+    + [
+        pytest.param(partial(random_collision_instance, seed), T, id=f"random-{seed}-{T}")
+        for seed, T in RANDOM_CASES
+    ],
 )
 def test_replay_matches_per_step_reference(make, T):
     mg, sigma, repair = make()
@@ -267,6 +315,41 @@ def test_shared_assessment_is_scored_as_one_forecast():
     for b, col in zip(scripts.signals[:, 0].tolist(), scripts.actions[:, 1].tolist()):
         rec.append(b, col)
     assert float(calibration_score(rec).max()) != scripts.report["calibration_scores"][0]
+
+
+def three_signal_instance():
+    """An indifferent 2x2 game under a product mediator, so all row signals
+    share one assessment and so do both column signals.  Row signals 0 and
+    1 play the top row and signal 2 the bottom row; the column signals play
+    different columns."""
+    game = Game([("top", "bottom"), ("left", "right")], np.zeros((2, 2, 2)))
+    psi = JointDistribution(np.outer([1 / 3] * 3, [1 / 2] * 2))
+    mg = MediatedGame(game, (("s0", "s1", "s2"), ("c0", "c1")), psi)
+    sigma = RandomizedStrategyProfile((np.eye(2)[[0, 0, 1]], np.eye(2)))
+    repair = {
+        (0, 2): [np.array([0.5 - 0.1 / l, 0.5 + 0.1 / l]) for l in range(1, 5)],
+        (1, 1): [np.array([0.6 + 0.05 / l, 0.4 - 0.05 / l]) for l in range(1, 5)],
+    }
+    return mg, sigma, repair
+
+
+def test_signal_playing_the_lowest_signals_action_keeps_its_assessment():
+    mg, sigma, repair = three_signal_instance()
+    T = 600
+    scripts = construct_calibrated_replay(mg, sigma, T, repair_points=repair)
+    assert scripts.report["collisions_repaired"] == 2
+    assert max(scripts.report["calibration_scores"]) <= 0.05
+    base = signal_assessment(mg, sigma, 0, 0).flat()
+    for b, shown in zip(scripts.signals[:, 0].tolist(), scripts.assessments[0]):
+        assert np.array_equal(shown, base) == (b < 2)
+    # each unrepaired collision names two signals whose actions differ
+    for i in (0, 1):
+        partial_repair = {key: pts for key, pts in repair.items() if key[0] != i}
+        with pytest.raises(AssessmentCollisionError) as err:
+            construct_calibrated_replay(mg, sigma, T, repair_points=partial_repair)
+        assert err.value.player == i
+        a, b = err.value.signal_a, err.value.signal_b
+        assert sigma.pure_action(i, a) != sigma.pure_action(i, b)
 
 
 def reference_quota_schedule(weights, T):
