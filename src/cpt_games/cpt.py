@@ -96,20 +96,27 @@ class WeightingFunction:
         above 1; the identity passes any value through.
         """
         arr = np.asarray(p, dtype=float, order="C")
-        if self.kind == "identity":
-            out = arr.copy()
-        elif self.kind == "prelec":
-            # On the clamped array, IEEE special values give w(0) = 0 and
-            # w(1) = 1 exactly: log(0) = -inf, exp(-inf) = 0 and log(1) = 0.
-            # ``exp``, ``log`` and ``pow`` see a C-contiguous 1-d array: a
-            # strided array takes another inner loop, and a NumPy scalar
-            # another ``pow``, either of which can round differently.
-            q = np.minimum(np.maximum(arr.reshape(-1), 0.0), 1.0)
-            with np.errstate(divide="ignore"):
-                out = np.exp(-((-np.log(q)) ** self.gamma)).reshape(arr.shape)
-        else:
-            out = np.interp(arr, self._ps, self._ws)
+        q = arr.reshape(-1)
+        if self.kind != "identity":
+            q = np.minimum(np.maximum(q, 0.0), 1.0)
+        out = self._weigh(q).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
+
+    def _weigh(self, q: np.ndarray) -> np.ndarray:
+        """The weights of a C-contiguous 1-d array of probabilities in [0, 1].
+
+        ``exp``, ``log`` and ``pow`` see a C-contiguous 1-d array: a strided
+        array takes another inner loop, and a NumPy scalar another ``pow``,
+        either of which can round differently.  IEEE special values give
+        w(0) = 0 and w(1) = 1 exactly: log(0) = -inf, exp(-inf) = 0 and
+        log(1) = 0.
+        """
+        if self.kind == "identity":
+            return q.copy()
+        if self.kind == "prelec":
+            with np.errstate(divide="ignore"):
+                return np.exp(-((-np.log(q)) ** self.gamma))
+        return np.interp(q, self._ps, self._ws)
 
 
 def identity_weighting() -> WeightingFunction:
@@ -234,26 +241,30 @@ def eut_preferences(reference: float = 0.0) -> CptPreferences:
 # ---------------------------------------------------------------------------
 
 
-def _as_probabilities(probs, label: str) -> tuple[np.ndarray, float]:
-    """Validated, clipped copy of a probability vector and its exact sum."""
+def _as_probabilities(probs, label: str) -> tuple[np.ndarray, list[float], float]:
+    """Validated, clipped copy of a probability vector, the same entries as
+    Python floats, and their exact sum."""
     p = np.array(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{label} must be a nonempty 1-d vector")
-    # min and max are NaN if any entry is, and infinite if any entry is
-    lo, hi = p.min(), p.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    q = p.tolist()
+    lo, hi = min(q), max(q)
+    # min and max are infinite if any entry is, and NaN if the first entry
+    # is; a later NaN only shows in the plain sum
+    if not (math.isfinite(lo) and math.isfinite(hi)) or math.isnan(sum(q)):
         raise ValueError(f"{label} must be finite")
     if lo < -PROB_SUM_TOL or hi > 1.0 + PROB_SUM_TOL:
         raise ValueError(f"{label} entries must lie in [0, 1]")
     if lo < 0.0 or hi > 1.0:
         np.clip(p, 0.0, 1.0, out=p)
+        q = p.tolist()
     # exactly rounded summation keeps the acceptance decision independent of
     # the entry order; entries are stored as given and the off-by-epsilon
     # mass is normalized away inside the cumulative evaluation
-    s = math.fsum(p.tolist())
+    s = math.fsum(q)
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{label} must sum to 1 (got {s!r})")
-    return p, s
+    return p, q, s
 
 
 @dataclass(frozen=True)
@@ -263,23 +274,30 @@ class Lottery:
     Zero-probability entries and repeated outcomes are allowed.  The
     probability vector must sum to one within ``PROB_SUM_TOL``; entries are
     stored as given and any sub-tolerance mass deviation is normalized away
-    during evaluation.
+    during evaluation.  A lottery is validated and summed once: it keeps
+    its entries as Python floats and their exactly rounded mass, which
+    evaluation reads.
     """
 
     probs: np.ndarray
     outcomes: np.ndarray
 
     def __init__(self, probs, outcomes):
-        p, _ = _as_probabilities(probs, "lottery probabilities")
+        p, p_floats, mass = _as_probabilities(probs, "lottery probabilities")
         z = np.array(outcomes, dtype=float)
         if z.shape != p.shape:
             raise ValueError("probabilities and outcomes must have equal length")
-        if not np.isfinite(z).all():
+        z_floats = z.tolist()
+        if not all(map(math.isfinite, z_floats)):
             raise ValueError("outcomes must be finite")
         p.setflags(write=False)
         z.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "outcomes", z)
+        # kept outside the dataclass fields: ``probs`` and ``outcomes`` alone are compared
+        object.__setattr__(self, "_p", p_floats)
+        object.__setattr__(self, "_z", z_floats)
+        object.__setattr__(self, "_mass", mass)
 
     @classmethod
     def from_entries(cls, entries: Sequence[tuple[float, float]]) -> "Lottery":
@@ -298,7 +316,7 @@ class RegretTriples:
     realized: np.ndarray
 
     def __init__(self, probs, counterfactual, realized):
-        p, _ = _as_probabilities(probs, "regret probabilities")
+        p, _, _ = _as_probabilities(probs, "regret probabilities")
         zc = np.array(counterfactual, dtype=float)
         zr = np.array(realized, dtype=float)
         if zc.shape != p.shape or zr.shape != p.shape:
@@ -367,8 +385,9 @@ def _ranked_weights(
     """``decision_weights`` of outcomes ``z`` sorted best to worst, with their
     probabilities ``p`` in the same order and exactly rounded mass ``total``.
 
-    Boundaries are Python floats; each weighting function sees them as one
-    C-contiguous array in best-to-worst order.
+    Boundaries are Python floats in [0, 1]; each weighting function sees
+    them as one C-contiguous array in best-to-worst order, past the clamp of
+    its public call.
     """
     ref = prefs.reference
     t = len(z)
@@ -377,11 +396,12 @@ def _ranked_weights(
         split += 1
     gains, losses = p[:split], p[split:]
     if gains and prefs.weight_gain.kind != "identity":
-        w = prefs.weight_gain(np.array(_block_cumulative(gains, z[:split], total))).tolist()
+        w = prefs.weight_gain._weigh(np.array(_block_cumulative(gains, z[:split], total)))
+        w = w.tolist()
         gains = [b - a for a, b in zip([0.0] + w, w)]
     if losses and prefs.weight_loss.kind != "identity":
         tail = _block_cumulative(losses[::-1], z[split:][::-1], total)
-        w = prefs.weight_loss(np.array(tail[::-1])).tolist()
+        w = prefs.weight_loss._weigh(np.array(tail[::-1])).tolist()
         losses = [a - b for a, b in zip(w, w[1:] + [0.0])]
     # weighting functions are increasing, so weights are nonnegative up to
     # rounding of the cumulative sums
@@ -398,10 +418,10 @@ def decision_weights(lottery: Lottery, prefs: CptPreferences) -> tuple[np.ndarra
     bottom.  With identity weighting the weights are exactly the sorted
     probabilities.
     """
-    p, z = lottery.probs.tolist(), lottery.outcomes.tolist()
+    p, z = lottery._p, lottery._z
     order = _rank(z)
     ranked = [p[k] for k in order]
-    pi, split = _ranked_weights(ranked, [z[k] for k in order], math.fsum(ranked), prefs)
+    pi, split = _ranked_weights(ranked, [z[k] for k in order], lottery._mass, prefs)
     return np.array(pi), split
 
 
@@ -426,18 +446,16 @@ def row_values(probs, outcome_rows, prefs: CptPreferences) -> np.ndarray:
     The probabilities are validated and summed once; each row is valued
     exactly as a lone lottery.
     """
-    p, total = _as_probabilities(probs, "lottery probabilities")
+    _, p, total = _as_probabilities(probs, "lottery probabilities")
     rows = np.asarray(outcome_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != p.size or not np.isfinite(rows).all():
+    if rows.ndim != 2 or rows.shape[1] != len(p) or not np.isfinite(rows).all():
         raise ValueError("outcome rows must be a finite (k, d) matrix over d probabilities")
-    p = p.tolist()
     return np.array([_value(p, z, total, prefs) for z in rows.tolist()])
 
 
 def cpt_value(lottery: Lottery, prefs: CptPreferences) -> float:
     """CPT value of a lottery: decision weights times outcome values."""
-    p = lottery.probs.tolist()
-    return _value(p, lottery.outcomes.tolist(), math.fsum(p), prefs)
+    return _value(lottery._p, lottery._z, lottery._mass, prefs)
 
 
 def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:

@@ -132,7 +132,7 @@ def _conditionals(mu: JointDistribution, players):
         m = marginal(mu, i)
         for a_i in range(len(m)):
             if m[a_i] > 0.0:
-                yield i, a_i, conditional(mu, i, a_i)
+                yield i, a_i, conditional(mu, i, a_i, m)
 
 
 def _worst_deviation(game: Game, cases) -> tuple[float, tuple | None]:

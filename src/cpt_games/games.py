@@ -9,6 +9,7 @@ on-disk layout of payoff tensors and distribution vectors.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -102,12 +103,20 @@ class Game:
 
 def _validate_joint(weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=float).copy()
-    if not np.all(np.isfinite(w)):
+    if w.size == 0:
+        raise ValueError("distribution has no mass")
+    # min and max are NaN if any entry is, and infinite if any entry is
+    lo, hi = float(w.min()), float(w.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("distribution weights must be finite")
-    if np.any(w < -PROB_SUM_TOL):
+    if lo < -PROB_SUM_TOL:
         raise ValueError("distribution weights must be nonnegative")
-    np.clip(w, 0.0, None, out=w)
-    s = float(w.sum())
+    if lo <= 0.0:
+        # np.maximum also turns -0.0 into 0.0, which ``min`` need not report
+        np.maximum(w, 0.0, out=w)
+    # only entries above 1 can overflow the sum to inf, which the mass check rejects
+    with np.errstate(over="ignore") if hi > 1.0 else contextlib.nullcontext():
+        s = float(w.sum())
     if s == 0.0:
         raise ValueError("distribution has no mass")
     if abs(s - 1.0) > PROB_SUM_TOL:
@@ -208,14 +217,18 @@ def marginal(mu: JointDistribution, i: int) -> np.ndarray:
     return mu.weights.sum(axis=axes)
 
 
-def conditional(mu: JointDistribution, i: int, a_i: int) -> OpponentDistribution:
+def conditional(
+    mu: JointDistribution, i: int, a_i: int, m: np.ndarray | None = None
+) -> OpponentDistribution:
     """Opponent-profile distribution given that player i was told ``a_i``.
 
-    Raises :class:`UnsupportedActionError` when the marginal probability of
+    ``m`` is ``marginal(mu, i)`` when the caller has it already.  Raises
+    :class:`UnsupportedActionError` when the marginal probability of
     ``a_i`` is zero; callers that want the zero-row convention used by
     empirical regret tracking must branch on that error explicitly.
     """
-    m = marginal(mu, i)
+    if m is None:
+        m = marginal(mu, i)
     if m[a_i] <= 0.0:
         raise UnsupportedActionError(i, a_i)
     slice_ = np.take(mu.weights, a_i, axis=i)

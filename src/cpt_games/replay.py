@@ -116,7 +116,9 @@ def construct_calibrated_replay(
     distinct from every other assessment.  A signal needs repair points
     only when the lowest signal with the same assessment plays another
     action; such a collision without repair points raises
-    :class:`AssessmentCollisionError` naming the two signals.
+    :class:`AssessmentCollisionError` naming the two signals, and points
+    for a signal that needs none raise ``ValueError`` naming each such
+    (player, signal).
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -135,16 +137,17 @@ def construct_calibrated_replay(
                 assess[i][b] = signal_assessment(mg, sigma, i, b).flat()
     used_keys = {_assessment_key(vec) for a_i in assess for vec in a_i.values()}
 
-    # one record per supported signal, in ascending order: its action, the
-    # vectors it shows and whether they are repair points
-    per_signal: list[dict[int, tuple[int, list[np.ndarray], bool]]] = [dict() for _ in range(n)]
+    # one record per supported signal, in ascending order: its action and the
+    # vectors it shows; the signals shown repair points are ``repaired``
+    per_signal: list[dict[int, tuple[int, list[np.ndarray]]]] = [dict() for _ in range(n)]
+    repaired: set[tuple[int, int]] = set()
     for i in range(n):
         lowest: dict[bytes, tuple[int, int]] = {}
         for b, vec in assess[i].items():
             a = sigma.pure_action(i, b)
             first, first_action = lowest.setdefault(_assessment_key(vec), (b, a))
             if a == first_action:
-                per_signal[i][b] = (a, [vec], False)
+                per_signal[i][b] = (a, [vec])
                 continue
             pts = repair_points.get((i, b))
             if not pts:
@@ -166,7 +169,15 @@ def construct_calibrated_replay(
                     )
                 used_keys.add(pkey)
                 validated.append(pvec)
-            per_signal[i][b] = (a, validated, True)
+            per_signal[i][b] = (a, validated)
+            repaired.add((i, b))
+    unused = [key for key in repair_points if key not in repaired]
+    if unused:
+        raise ValueError(
+            "repair points for (player, signal) "
+            + ", ".join(map(str, unused))
+            + " are unused: those signals need no repair"
+        )
 
     schedule_flat = _quota_schedule(mg.mediator, T)
     signal_shape = mg.signal_shape
@@ -179,7 +190,7 @@ def construct_calibrated_replay(
     tables: list[list[np.ndarray]] = [[] for _ in range(n)]
     shown = np.empty((n, T), dtype=np.intp)
     for i in range(n):
-        for b, (a, pts, _) in per_signal[i].items():
+        for b, (a, pts) in per_signal[i].items():
             steps = np.flatnonzero(profiles[:, i] == b)
             actions[steps, i] = a
             occurrence = np.arange(1, steps.size + 1)
@@ -210,7 +221,7 @@ def construct_calibrated_replay(
         "signal_empirical_sup_distance": float(
             np.abs(sig_counts / float(T) - mg.mediator.weights).max()
         ),
-        "collisions_repaired": sum(rep for p_i in per_signal for _, _, rep in p_i.values()),
+        "collisions_repaired": len(repaired),
     }
     return ReplayScripts(
         signals=profiles, actions=actions, assessments=assessments, report=report

@@ -352,6 +352,21 @@ def test_signal_playing_the_lowest_signals_action_keeps_its_assessment():
         assert sigma.pure_action(i, a) != sigma.pure_action(i, b)
 
 
+def test_repair_points_for_signals_that_need_none_are_rejected():
+    # row signal 1 plays the lowest row signal's action, and column signal 0
+    # is the lowest of its assessment: neither takes repair
+    mg, sigma, repair = three_signal_instance()
+    extra = {
+        (0, 1): [np.array([0.3, 0.7])],
+        (1, 0): [np.array([0.2, 0.8])],
+    }
+    with pytest.raises(ValueError, match=r"\(0, 1\), \(1, 0\) are unused"):
+        construct_calibrated_replay(mg, sigma, 600, repair_points={**repair, **extra})
+    for key, pts in extra.items():
+        with pytest.raises(ValueError, match=rf"\({key[0]}, {key[1]}\) are unused"):
+            construct_calibrated_replay(mg, sigma, 600, repair_points={**repair, key: pts})
+
+
 def reference_quota_schedule(weights, T):
     """The largest-deficit schedule with one ``np.argmax`` per step."""
     support = np.flatnonzero(weights > 0.0)

@@ -11,11 +11,13 @@ traces built on them must keep their pinned digests.
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cpt_games.cpt import (
+    PROB_SUM_TOL,
     CptPreferences,
     Lottery,
     RegretTriples,
@@ -282,6 +284,75 @@ def test_random_lotteries_equal_the_frozen_scalar_evaluator():
         weights, split = decision_weights(lot, prefs)
         ref_weights, ref_split = ref_decision_weights(lot, prefs)
         assert np.array_equal(weights, ref_weights) and split == ref_split
+
+
+def clip_path_probabilities(rng, case):
+    """Probabilities over d in 1..8 outcomes that validation clips or whose
+    mass is off one: an entry in [-PROB_SUM_TOL, 0), an entry in
+    (1, 1 + PROB_SUM_TOL], or every entry scaled by 1 +- up to the tolerance."""
+    d = int(rng.integers(1, 9))
+    u = float(rng.uniform(0.0, 1.0)) or 1.0
+    if case % 3 == 0 and d > 1:
+        p = rng.dirichlet(np.ones(d))
+        k = int(rng.integers(d))
+        p[k] = 0.0
+        p /= p.sum()
+        p[k] = -u * PROB_SUM_TOL
+    elif case % 3 == 1:
+        p = np.zeros(d)
+        specks = rng.random(d) < 0.3
+        p[specks] = -rng.uniform(0.0, PROB_SUM_TOL, int(specks.sum()))
+        p[rng.integers(d)] = 1.0 + u * PROB_SUM_TOL
+    else:
+        p = rng.dirichlet(np.ones(d)) * (1.0 + rng.choice([-0.9, 0.9]) * u * PROB_SUM_TOL)
+    return p
+
+
+def test_clipped_and_off_mass_probabilities_equal_the_frozen_scalar_evaluator():
+    # the reference sees the clipped vector and sums its mass itself
+    rng = np.random.default_rng(20180407)
+    for case in range(3000):
+        prefs = random_preferences(rng)
+        raw = clip_path_probabilities(rng, case)
+        d = raw.size
+        rows = [
+            rng.integers(-2, 3, d) * 0.5 if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, d)
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        clipped = np.clip(raw, 0.0, 1.0)
+        expected = []
+        for z in rows:
+            lot = Lottery(raw, z)
+            assert np.array_equal(lot.probs, clipped)
+            ref = SimpleNamespace(probs=clipped, outcomes=z)
+            expected.append(ref_cpt_value(ref, prefs))
+            assert cpt_value(lot, prefs) == expected[-1]
+            weights, split = decision_weights(lot, prefs)
+            ref_weights, ref_split = ref_decision_weights(ref, prefs)
+            assert np.array_equal(weights, ref_weights) and split == ref_split
+        assert np.array_equal(row_values(raw, np.array(rows), prefs), np.array(expected))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [identity_weighting(), TABULATED]
+    + [prelec_weighting(g) for g in (0.3, 0.5, 0.61, 0.7, 1.0, 1.7, 2.0)],
+    ids=lambda w: w.kind if w.gamma is None else f"prelec-{w.gamma}",
+)
+def test_internal_weighting_equals_the_public_call(w):
+    # the evaluation hands its boundaries, already in [0, 1], past the clamp
+    rng = np.random.default_rng(20180408)
+    for d in range(1, 41):
+        for _ in range(20):
+            q = rng.uniform(0.0, 1.0, d)
+            q[rng.random(d) < 0.2] = 0.0
+            q[rng.random(d) < 0.2] = 1.0
+            if rng.random() < 0.5:
+                q = np.sort(q)[::-1].copy()
+            assert np.array_equal(w._weigh(q), w(q))
+            assert np.array_equal(w._weigh(q), ref_weight(w, q))
+    assert w._weigh(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+    assert w._weigh(np.array([1.0, 0.0])).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize(
