@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import simplex_grid
+from .games import simplex_grid
 
 __all__ = [
     "ForecastRecord",
@@ -166,12 +166,8 @@ class CalibratedForecaster:
         self._play = np.full(q, 1.0 / q)
         self._rhs = np.full(q, _DELTA / q)
         self._abuf = np.empty(q * q)
-        self._reset_step_state()
-
-    def _reset_step_state(self) -> None:
         # points whose rows have been positive hold slots [0, _m) in the
         # order they went live
-        q = self._rows.size
         self._point = np.arange(q)
         self._slot = np.arange(q)
         self._m = 0
@@ -182,13 +178,6 @@ class CalibratedForecaster:
         self.predicts = 0
         self.solves = 0
         self.solve_flop = 0.0
-
-    def reset(self) -> None:
-        self._regret.fill(0.0)
-        self._pos.fill(0.0)
-        self._rows.fill(0.0)
-        self._play.fill(1.0 / self._play.size)
-        self._reset_step_state()
 
     def _go_live(self, r: int) -> int:
         """Swap slot r into slot ``_m`` and make it live; returns its new slot."""

@@ -29,6 +29,7 @@ trace is exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,14 @@ import numpy as np
 from .calibration import CalibratedForecaster, ForecastRecord, calibration_score
 from .cpt import PROB_SUM_TOL, row_values
 from .equilibrium import best_reaction
-from .games import Game, JointDistribution, OpponentDistribution, player_rows
+from .games import (
+    Game,
+    JointDistribution,
+    OpponentDistribution,
+    opponent_strides,
+    player_rows,
+    profile_counts,
+)
 
 __all__ = [
     "Strategy",
@@ -73,7 +81,7 @@ class Strategy:
     the step's uniform in [0, 1), the strategy's only randomness.
     """
 
-    def start(self, game: Game, player: int, horizon: int) -> None:
+    def start(self, game: Game, player: int) -> None:
         self.game = game
         self.player = player
 
@@ -183,16 +191,13 @@ class ForecastingBestReaction(Strategy):
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
 
-    def start(self, game, player, horizon):
-        super().start(game, player, horizon)
+    def start(self, game, player):
+        super().start(game, player)
         self.forecaster = CalibratedForecaster(game.num_opponent_profiles(player), self.epsilon)
         self._eye = np.eye(game.num_actions(player))
         self._opp_shape = game.opponent_shape(player)
-        # (player, row-major stride) of each opponent in a flat outcome index
-        opponents = [j for j in range(game.n) if j != player]
-        self._opp_strides = [
-            (j, math.prod(self._opp_shape[k + 1 :])) for k, j in enumerate(opponents)
-        ]
+        # Python ints: a per-step sum of their products beats an array product
+        self._outcome_weights = opponent_strides(game.shape, player).tolist()
         self._reaction_cache: dict[int, int] = {}
 
     def mix(self, t, u):
@@ -207,7 +212,7 @@ class ForecastingBestReaction(Strategy):
         return self._eye[a], self.forecaster.grid[k]
 
     def observe(self, t, profile):
-        self.forecaster.observe(sum(profile[j] * s for j, s in self._opp_strides))
+        self.forecaster.observe(sum(map(operator.mul, profile, self._outcome_weights)))
 
 
 @dataclass(frozen=True)
@@ -239,12 +244,8 @@ class RunTrace:
         return self.actions.shape[0]
 
     def counts(self, t: int | None = None) -> np.ndarray:
-        """Integer profile counts over the first t steps."""
-        if t is None:
-            t = self.horizon
-        c = np.zeros(self.shape, dtype=np.int64)
-        np.add.at(c, tuple(self.actions[:t].T), 1)
-        return c
+        """Integer profile counts over the first t steps (all steps if t is None)."""
+        return profile_counts(self.shape, self.actions[:t])
 
     def empirical(self, t: int | None = None) -> JointDistribution:
         if t is None:
@@ -276,14 +277,10 @@ def _checkpoints(game: Game, actions: np.ndarray) -> list[Checkpoint]:
     steps = [1 << j for j in range(T.bit_length())]
     if steps[-1] != T:
         steps.append(T)
-    flat = np.ravel_multi_index(tuple(actions.T), game.shape)
-    counts = np.zeros(game.shape, dtype=np.int64)
     cps = []
     seen: dict[bytes, Checkpoint] = {}
-    done = 0
     for t in steps:
-        counts += np.bincount(flat[done:t], minlength=counts.size).reshape(game.shape)
-        done = t
+        counts = profile_counts(game.shape, actions[:t])
         key = (counts // np.gcd.reduce(counts, axis=None)).tobytes()
         cp = seen.get(key)
         if cp is None:
@@ -316,7 +313,7 @@ def run_engine(
 
     planned, loop = [], []
     for i, strat in enumerate(strategies):
-        strat.start(game, i, T)
+        strat.start(game, i)
         plan = strat.plan(T)
         if plan is None:
             mix_log[i] = np.zeros((T, game.num_actions(i)))
@@ -404,14 +401,11 @@ def assessment_record(trace: RunTrace, player: int) -> ForecastRecord:
     Outcomes are the opponents' joint actions (flat indices); steps without
     a logged assessment are skipped.
     """
-    opp_cols = [j for j in range(len(trace.shape)) if j != player]
-    opp_shape = tuple(trace.shape[j] for j in opp_cols)
     ids = trace.assessment_ids[player]
     logged = ids >= 0
-    flat = np.ravel_multi_index(tuple(trace.actions[logged, j] for j in opp_cols), opp_shape)
-    return ForecastRecord.from_steps(
-        int(np.prod(opp_shape)), trace.assessment_dicts[player], ids[logged], flat
-    )
+    outcomes = trace.actions[logged] @ opponent_strides(trace.shape, player)
+    d = math.prod(trace.shape) // trace.shape[player]
+    return ForecastRecord.from_steps(d, trace.assessment_dicts[player], ids[logged], outcomes)
 
 
 def max_calibration_score(trace: RunTrace, player: int) -> float:

@@ -35,6 +35,7 @@ from .games import (
     induced_lottery,
     marginal,
     player_rows,
+    simplex_grid,
 )
 from .simplex import hull_residual
 
@@ -70,7 +71,8 @@ class Certificate:
     reconstruction residual for hull checks.  ``witness`` identifies either
     the most violated inequality or the convex combination certifying hull
     membership.  ``meta`` carries check parameters such as the grid
-    resolution attached to sampled non-member verdicts.
+    resolution attached to sampled non-member verdicts.  ``to_dict`` is
+    strict JSON: a margin that is not finite is written as a string, "-inf".
     """
 
     member: bool
@@ -78,10 +80,14 @@ class Certificate:
     witness: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
+    @property
+    def verdict(self) -> str:
+        return "member" if self.member else "non-member"
+
     def to_dict(self) -> dict:
         return {
-            "verdict": "member" if self.member else "non-member",
-            "margin": self.margin,
+            "verdict": self.verdict,
+            "margin": self.margin if np.isfinite(self.margin) else str(float(self.margin)),
             "witness": self.witness,
             "meta": self.meta,
         }
@@ -198,27 +204,6 @@ def check_nash(
     member = worst >= -tol
     witness = {"kind": "none"} if member else _violation(*where[1:])
     return Certificate(member, worst, witness, {"check": "nash", "tol": tol})
-
-
-def simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """All probability vectors of length ``dim`` with denominator ``resolution``.
-
-    Rows are ordered lexicographically by the integer compositions, which
-    fixes a deterministic enumeration.
-    """
-    if dim < 1 or resolution < 1:
-        raise ValueError("need dim >= 1 and resolution >= 1")
-    # extend every prefix by each value its remainder allows, in ascending
-    # order, so the rows come out lexicographic; the last entry takes the rest
-    prefix = np.zeros((1, 0), dtype=np.int64)
-    rest = np.array([resolution])
-    for _ in range(dim - 1):
-        counts = rest + 1
-        parent = np.repeat(np.arange(len(rest)), counts)
-        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        prefix = np.column_stack([prefix[parent], value])
-        rest = rest[parent] - value
-    return np.column_stack([prefix, rest]) / float(resolution)
 
 
 def default_grid_resolution(game: Game, i: int) -> int:
@@ -341,6 +326,8 @@ def _hull_check_one(
 
 def _hull_checks(game, mu, players, resolution, tol, region_cache):
     """(i, a_i, certificate, LP points) for every supported conditional."""
+    if region_cache is not None and region_cache.setdefault("game", game) is not game:
+        raise ValueError("the region cache holds the regions of another game")
     res = [
         resolution if resolution is not None else default_grid_resolution(game, i)
         for i in range(game.n)
@@ -362,7 +349,8 @@ def check_mediated_eq(
     hull of its sampled acceptance region.  Membership verdicts are sound
     up to the region tolerance; non-membership is relative to the grid
     resolution recorded in ``meta``, which also counts the region points
-    handed to hull LPs (``lp_points``).
+    handed to hull LPs (``lp_points``).  A ``region_cache`` serves one game:
+    passed with another, it raises ``ValueError``.
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")

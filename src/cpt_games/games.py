@@ -29,6 +29,9 @@ __all__ = [
     "conditional",
     "induced_lottery",
     "player_rows",
+    "opponent_strides",
+    "profile_counts",
+    "simplex_grid",
     "empirical_update",
     "product_join",
 ]
@@ -244,6 +247,39 @@ def player_rows(tensor, i: int) -> np.ndarray:
     t = np.asarray(tensor)
     # the transpose np.moveaxis(t, i, 0) builds, without its dispatch cost
     return t.transpose((i, *range(i), *range(i + 1, t.ndim))).reshape(t.shape[i], -1)
+
+
+def opponent_strides(shape: Sequence[int], i: int) -> np.ndarray:
+    """Int64 w, w[i] = 0, with ``profile @ w`` the ``OpponentDistribution.flat`` index of i's opponents."""
+    opp = [s for j, s in enumerate(shape) if j != i]
+    return np.insert(np.cumprod([1, *opp[:0:-1]], dtype=np.int64)[::-1], i, 0)
+
+
+def profile_counts(shape: Sequence[int], actions) -> np.ndarray:
+    """Integer count of each profile among the rows of a (T, n) action log."""
+    flat = np.ravel_multi_index(np.reshape(actions, (-1, len(shape))).T, shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def simplex_grid(dim: int, resolution: int) -> np.ndarray:
+    """All probability vectors of length ``dim`` with denominator ``resolution``.
+
+    Rows are ordered lexicographically by the integer compositions, which
+    fixes a deterministic enumeration.
+    """
+    if dim < 1 or resolution < 1:
+        raise ValueError("need dim >= 1 and resolution >= 1")
+    # extend every prefix by each value its remainder allows, in ascending
+    # order, so the rows come out lexicographic; the last entry takes the rest
+    prefix = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([resolution])
+    for _ in range(dim - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(len(rest)), counts)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        prefix = np.column_stack([prefix[parent], value])
+        rest = rest[parent] - value
+    return np.column_stack([prefix, rest]) / float(resolution)
 
 
 def induced_lottery(game: Game, i: int, pi: OpponentDistribution, a_i: int) -> Lottery:

@@ -251,9 +251,9 @@ def _scenario_random(config: RunConfig) -> dict:
     return {
         "sizes": list(sizes),
         "calibration_scores": [max_calibration_score(trace, i) for i in range(game.n)],
-        "correlated_verdict": "member" if corr.member else "non-member",
+        "correlated_verdict": corr.verdict,
         "correlated_margin": corr.margin,
-        "mediated_verdict": "member" if med.member else "non-member",
+        "mediated_verdict": med.verdict,
         "mediated_margin": med.margin,
     }
 

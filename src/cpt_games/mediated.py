@@ -28,7 +28,7 @@ from .equilibrium import (
     _violation,
     _worst_deviation,
 )
-from .games import Game, JointDistribution, OpponentDistribution, marginal
+from .games import Game, JointDistribution, OpponentDistribution, marginal, opponent_strides
 
 WITNESS_MIX_TOL = 1e-6
 
@@ -295,14 +295,14 @@ def construct_mediator(
         for i in range(n)
     )
     psi = np.zeros(tuple(game.num_actions(i) * n_idx[i] for i in range(n)))
-    for a in map(tuple, np.argwhere(mu.weights > 0.0).tolist()):
+    support = np.argwhere(mu.weights > 0.0)
+    opp_index = support @ np.column_stack([opponent_strides(game.shape, i) for i in range(n)])
+    for a, opp in zip(map(tuple, support.tolist()), opp_index.tolist()):
         p_a = mu.weights[a]
         # the witness-index block of profile a, multiplied in player order
         block = p_a
         for i in range(n):
-            opp = a[:i] + a[i + 1:]
-            flat = int(np.ravel_multi_index(opp, game.opponent_shape(i)))
-            block = np.multiply.outer(block, thetas[i][a[i]] * zetas[i][a[i]][:, flat])
+            block = np.multiply.outer(block, thetas[i][a[i]] * zetas[i][a[i]][:, opp[i]])
         denom = math.prod(p_a / margs[i][a[i]] for i in range(n))
         psi[tuple(slice(a[i] * n_idx[i], (a[i] + 1) * n_idx[i]) for i in range(n))] = block / denom
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibration import ForecastRecord, calibration_score
 from .equilibrium import DEFAULT_TOL, _region_margin
-from .games import JointDistribution, OpponentDistribution
+from .games import JointDistribution, OpponentDistribution, opponent_strides, profile_counts
 from .mediated import MediatedGame, RandomizedStrategyProfile, induced_action_distribution, signal_assessment
 
 __all__ = [
@@ -201,26 +201,18 @@ def construct_calibrated_replay(
 
     # report: calibration scores, empirical deviations
     eta = induced_action_distribution(mg, sigma)
-    counts = np.zeros(game.shape, dtype=np.int64)
-    np.add.at(counts, tuple(actions.T), 1)
-    xi = counts / float(T)
+    xi = profile_counts(game.shape, actions) / float(T)
+    psi_hat = profile_counts(signal_shape, profiles) / float(T)
     scores = []
     for i in range(n):
-        opp_shape = game.opponent_shape(i)
-        opp_cols = [j for j in range(n) if j != i]
-        flat = np.ravel_multi_index(tuple(actions[:, j] for j in opp_cols), opp_shape)
-        rec = ForecastRecord.from_steps(int(np.prod(opp_shape)), tables[i], shown[i], flat)
+        outcomes = actions @ opponent_strides(game.shape, i)
+        rec = ForecastRecord.from_steps(game.num_opponent_profiles(i), tables[i], shown[i], outcomes)
         scores.append(float(calibration_score(rec).max()))
-
-    sig_counts = np.zeros(signal_shape, dtype=np.int64)
-    np.add.at(sig_counts, tuple(profiles.T), 1)
     report = {
         "horizon": T,
         "calibration_scores": scores,
         "action_empirical_sup_distance": float(np.abs(xi - eta.weights).max()),
-        "signal_empirical_sup_distance": float(
-            np.abs(sig_counts / float(T) - mg.mediator.weights).max()
-        ),
+        "signal_empirical_sup_distance": float(np.abs(psi_hat - mg.mediator.weights).max()),
         "collisions_repaired": len(repaired),
     }
     return ReplayScripts(

@@ -193,10 +193,10 @@ def scripted_cycle_run(
         "variant": variant,
         "horizon": T,
         "calibration_scores": scores,
-        "correlated_verdict": "member" if corr.member else "non-member",
+        "correlated_verdict": corr.verdict,
         "correlated_margin": corr.margin,
         "correlated_witness": corr.witness,
-        "mediated_verdict": "member" if med.member else "non-member",
+        "mediated_verdict": med.verdict,
         "mediated_margin": med.margin,
         "hull_distances": distances,
         "grid_resolution": resolution if resolution is not None else "default",

@@ -107,13 +107,6 @@ class TestForecaster:
             a.observe(t % 2)
             b.observe(t % 2)
 
-    def test_reset_restores_initial_state(self):
-        fc = CalibratedForecaster(2, 0.2)
-        seq1 = drive(fc, lambda t, s, r: t % 2, 100, 9)
-        fc.reset()
-        seq2 = drive(fc, lambda t, s, r: t % 2, 100, 9)
-        assert seq1.forecasts == seq2.forecasts
-
     @pytest.mark.parametrize(
         "name,nature,bound",
         [
@@ -283,10 +276,10 @@ class TestInvariantPlay:
 
     @pytest.mark.parametrize("n_outcomes,epsilon", [(2, 0.1), (3, 0.1), (4, 0.1), (5, 0.125)])
     def test_kept_positive_part_is_exact(self, n_outcomes, epsilon):
-        fc = CalibratedForecaster(n_outcomes, epsilon)
-        q = fc.grid.shape[0]
         rng = np.random.default_rng(7)
         for _ in range(2):
+            fc = CalibratedForecaster(n_outcomes, epsilon)
+            q = fc.grid.shape[0]
             for step in range(400):
                 issue(fc, int(rng.integers(q)), int(rng.integers(n_outcomes)))
                 if step % 50 == 0 or step == 399:
@@ -297,9 +290,6 @@ class TestInvariantPlay:
                     assert np.array_equal(fc._slot[slots], np.arange(q))
                     # every live point is in the block
                     assert np.all(pos[slots[fc._m :]] == 0.0)
-            fc.reset()
-            assert not fc._regret.any() and not fc._pos.any() and not fc._rows.any()
-            assert fc._m == 0
 
 
 def fresh_play(fc):
@@ -314,18 +304,15 @@ class TestKeptPlay:
     def test_kept_play_is_a_fresh_solve(self, n_outcomes, steps):
         # grids of 11, 66 and 286 points: after every predict the play it
         # sampled from equals, bit for bit, a solve of the current state
-        fc = CalibratedForecaster(n_outcomes, 0.1)
         rng = np.random.default_rng(11)
         weights = rng.dirichlet(np.ones(n_outcomes))
         for _ in range(2):
+            fc = CalibratedForecaster(n_outcomes, 0.1)
             for _ in range(steps):
                 fc.predict(rng.random())
                 assert np.array_equal(fc._play, fresh_play(fc))
                 fc.observe(int(rng.choice(n_outcomes, p=weights)))
             assert 0 < fc.solves < fc.predicts == steps
-            fc.reset()
-            assert (fc.predicts, fc.solves, fc.solve_flop) == (0, 0, 0.0)
-            assert np.array_equal(fc._play, np.full(fc.grid.shape[0], 1.0 / fc.grid.shape[0]))
 
     @pytest.mark.parametrize("n_outcomes", [2, 3, 4])
     def test_row_turning_non_positive_re_solves(self, n_outcomes):

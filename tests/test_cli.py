@@ -146,6 +146,26 @@ class TestCheck:
         assert doc["verdict"] == "member" and doc["margin"] == 0.0
         assert doc["meta"]["check"] == mode and "tol" in doc["meta"]
 
+    def test_empty_region_margin_prints_strict_json(self, tmp_path, capsys):
+        # row action 1 pays -10 everywhere: its sampled region is empty, so the
+        # mediated margin is -inf, which the certificate writes as "-inf"
+        game = counterexample_game()
+        payoffs = np.array(game.payoffs)
+        payoffs[0, 1] = -10.0
+        dump_json(game_to_dict(Game(game.actions, payoffs, game.prefs)), tmp_path / "game.json")
+        dump_json(distribution_to_dict(JointDistribution(np.full((2, 4), 0.125))),
+                  tmp_path / "dist.json")
+        code = main(["check", "--game", str(tmp_path / "game.json"),
+                     "--dist", str(tmp_path / "dist.json"), "--mode", "mediated"])
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["verdict"] == "non-member" and doc["margin"] == "-inf"
+        assert doc["meta"]["lp_points"] == 0
+
     def test_shape_mismatch_exits_3(self, files, tmp_path, capsys):
         dump_json(
             distribution_to_dict(JointDistribution(np.full((2, 2), 0.25))),

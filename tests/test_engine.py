@@ -137,7 +137,7 @@ def reference_run(game, strategies, T, seed):
     n = game.n
     plans = []
     for i, s in enumerate(strategies):
-        s.start(game, i, T)
+        s.start(game, i)
         plans.append(s.plan(T))
     gens = []
     for i in range(n):

@@ -438,6 +438,23 @@ class TestMediated:
                 fresh = check_mediated_eq(game, mu, resolution=res, tol=tol)
                 assert shared.to_dict() == fresh.to_dict()
 
+    def test_region_cache_serves_one_game(self, game, mu_star):
+        # a cache warmed on one game would certify another game's conditional
+        # from the first game's regions: row action 0 pays -10 in the second
+        cache: dict = {}
+        assert check_mediated_eq(game, mu_star, region_cache=cache).member
+        payoffs = np.array(game.payoffs)
+        payoffs[0, 0] = -10.0
+        other = Game(game.actions, payoffs, game.prefs)
+        fresh = check_mediated_eq(other, mu_star)
+        assert not fresh.member and fresh.margin == -np.inf
+        with pytest.raises(ValueError, match="another game"):
+            check_mediated_eq(other, mu_star, region_cache=cache)
+        with pytest.raises(ValueError, match="another game"):
+            mediated_hull_distance(other, mu_star, region_cache=cache)
+        # the game it served still reads the cache
+        assert check_mediated_eq(game, mu_star, region_cache=cache).member
+
     def test_hull_distance_zero_for_members(self, game, mu_star, mu_o):
         assert mediated_hull_distance(game, mu_star, resolution=8) == 0.0
         assert mediated_hull_distance(game, mu_o, resolution=8) == 0.0

@@ -13,8 +13,18 @@ from cpt_games.games import (
     empirical_update,
     induced_lottery,
     marginal,
+    opponent_strides,
+    player_rows,
     product_join,
+    profile_counts,
 )
+
+LOG_SHAPES = [(1, 3), (2, 4), (2, 4, 4), (3, 2, 5), (2, 2, 2, 3)]
+
+
+def every_profile(shape):
+    """(prod(shape), n) array of every profile in row-major order."""
+    return np.array(list(np.ndindex(*shape)), dtype=np.int64).reshape(-1, len(shape))
 
 
 class TestGameValidation:
@@ -179,3 +189,33 @@ class TestProductJoin:
             mu = product_join(pd)
             for i, f in enumerate(pd.factors):
                 assert np.abs(marginal(mu, i) - f).max() < 1e-12
+
+
+class TestActionLogLayout:
+    @pytest.mark.parametrize("shape", LOG_SHAPES)
+    def test_opponent_strides_match_ravel_multi_index(self, shape):
+        profiles = every_profile(shape)
+        tensor = np.arange(profiles.shape[0], dtype=float).reshape(shape)
+        for i in range(len(shape)):
+            w = opponent_strides(shape, i)
+            assert w.dtype == np.int64 and w[i] == 0
+            cols = [j for j in range(len(shape)) if j != i]
+            opp_shape = tuple(shape[j] for j in cols)
+            expected = np.ravel_multi_index(tuple(profiles[:, cols].T), opp_shape)
+            assert np.array_equal(profiles @ w, expected)
+            # and it is the column of the profile in player i's rows
+            rows = player_rows(tensor, i)
+            assert np.array_equal(rows[profiles[:, i], profiles @ w], tensor.ravel())
+
+    @pytest.mark.parametrize("shape", LOG_SHAPES)
+    def test_profile_counts_match_add_at(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        profiles = every_profile(shape)
+        log = np.vstack([profiles, profiles[rng.integers(len(profiles), size=50)]])
+        log = log[rng.permutation(len(log))]
+        expected = np.zeros(shape, dtype=np.int64)
+        np.add.at(expected, tuple(log.T), 1)
+        counts = profile_counts(shape, log)
+        assert counts.dtype == np.int64 and counts.shape == shape
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(profile_counts(shape, log[:0]), np.zeros(shape, dtype=np.int64))
