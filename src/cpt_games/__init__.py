@@ -3,7 +3,6 @@
 from .cpt import (
     CptPreferences,
     Lottery,
-    RegretTriples,
     ValueFunction,
     WeightingFunction,
     cpt_regret,

@@ -40,7 +40,7 @@ __all__ = [
 _DELTA = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class ForecastRecord:
     """Log of dictionary forecasts and realized outcomes.
 
@@ -49,10 +49,10 @@ class ForecastRecord:
     """
 
     n_outcomes: int
-    dictionary: list[np.ndarray] = field(default_factory=list)
-    forecasts: list[int] = field(default_factory=list)
-    outcomes: list[int] = field(default_factory=list)
-    _keys: dict = field(default_factory=dict)
+    dictionary: list[np.ndarray] = field(default_factory=list, init=False)
+    forecasts: list[int] = field(default_factory=list, init=False)
+    outcomes: list[int] = field(default_factory=list, init=False)
+    _keys: dict = field(default_factory=dict, init=False)
 
     def intern(self, vector: np.ndarray) -> int:
         """Id of a forecast vector, adding it to the dictionary if new."""

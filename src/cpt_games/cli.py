@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
         return _fail(f"unknown scenario: {e}", 4)
     except ValueError as e:
         return _fail(str(e), 2)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=float))
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 

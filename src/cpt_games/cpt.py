@@ -35,7 +35,6 @@ __all__ = [
     "CptPreferences",
     "eut_preferences",
     "Lottery",
-    "RegretTriples",
     "evaluate_weight",
     "rank_outcomes",
     "decision_weights",
@@ -221,15 +220,6 @@ class CptPreferences:
     def reference(self) -> float:
         return self.value.reference
 
-    @property
-    def is_eut(self) -> bool:
-        """True when CPT degenerates to plain expected value of z - r."""
-        return (
-            self.value.kind == "identity"
-            and self.weight_gain.kind == "identity"
-            and self.weight_loss.kind == "identity"
-        )
-
 
 def eut_preferences(reference: float = 0.0) -> CptPreferences:
     """Expected-utility special case: identity value and weights."""
@@ -267,7 +257,7 @@ def _as_probabilities(probs, label: str) -> tuple[np.ndarray, list[float], float
     return p, q, s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lottery:
     """Exhaustive finite lottery: probabilities and real outcomes.
 
@@ -294,40 +284,13 @@ class Lottery:
         z.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "outcomes", z)
-        # kept outside the dataclass fields: ``probs`` and ``outcomes`` alone are compared
+        # what evaluation reads; not dataclass fields, so the repr shows the arrays alone
         object.__setattr__(self, "_p", p_floats)
         object.__setattr__(self, "_z", z_floats)
         object.__setattr__(self, "_mass", mass)
 
-    @classmethod
-    def from_entries(cls, entries: Sequence[tuple[float, float]]) -> "Lottery":
-        return cls([p for p, _ in entries], [z for _, z in entries])
-
     def __len__(self) -> int:
         return self.probs.size
-
-
-@dataclass(frozen=True)
-class RegretTriples:
-    """Shared probabilities with counterfactual and realized outcomes."""
-
-    probs: np.ndarray
-    counterfactual: np.ndarray
-    realized: np.ndarray
-
-    def __init__(self, probs, counterfactual, realized):
-        p, _, _ = _as_probabilities(probs, "regret probabilities")
-        zc = np.array(counterfactual, dtype=float)
-        zr = np.array(realized, dtype=float)
-        if zc.shape != p.shape or zr.shape != p.shape:
-            raise ValueError("outcome vectors must match the probability vector")
-        if not (np.all(np.isfinite(zc)) and np.all(np.isfinite(zr))):
-            raise ValueError("outcomes must be finite")
-        for a in (p, zc, zr):
-            a.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "counterfactual", zc)
-        object.__setattr__(self, "realized", zr)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +474,10 @@ def cpt_values(probs, outcomes, prefs: CptPreferences) -> np.ndarray:
     return pi @ prefs.value(zg)
 
 
-def cpt_regret(triples: RegretTriples, prefs: CptPreferences) -> float:
-    """CPT value of the counterfactual lottery minus that of the realized one."""
-    hypothetical, actual = row_values(
-        triples.probs, np.stack((triples.counterfactual, triples.realized)), prefs
-    )
+def cpt_regret(probs, counterfactual, realized, prefs: CptPreferences) -> float:
+    """CPT value of the counterfactual outcomes minus that of the realized
+    ones, both paid with the same ``probs``."""
+    hypothetical, actual = row_values(probs, (counterfactual, realized), prefs)
     return float(hypothetical - actual)
 
 

@@ -215,14 +215,14 @@ class ForecastingBestReaction(Strategy):
         self.forecaster.observe(sum(map(operator.mul, profile, self._outcome_weights)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
     t: int
     xi: np.ndarray
     regrets: tuple[np.ndarray, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
     """Everything one engine run produced.
 

@@ -89,7 +89,8 @@ def distribution_from_dict(doc: dict) -> JointDistribution:
 
 
 def lottery_from_dict(doc: dict) -> Lottery:
-    return Lottery.from_entries([(float(p), float(z)) for p, z in doc["entries"]])
+    entries = [(float(p), float(z)) for p, z in doc["entries"]]
+    return Lottery([p for p, _ in entries], [z for _, z in entries])
 
 
 def mediated_game_to_dict(

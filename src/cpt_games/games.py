@@ -46,7 +46,7 @@ class UnsupportedActionError(ValueError):
         super().__init__(f"player {player} action {action} has zero probability")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Game:
     """n-player normal-form game with CPT preferences attached.
 
@@ -129,7 +129,7 @@ def _validate_joint(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability distribution over full action profiles.
 
@@ -161,7 +161,7 @@ class JointDistribution:
         return self.weights.ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductDistribution:
     """Independent per-player mixed actions."""
 
@@ -189,7 +189,7 @@ def _outer(factors) -> np.ndarray:
     return functools.reduce(np.multiply.outer, factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpponentDistribution:
     """Distribution over the opponents' joint actions for one player.
 

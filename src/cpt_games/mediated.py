@@ -60,7 +60,7 @@ class InvalidWitnessError(ValueError):
     """Hull witnesses that fail the convex-combination precondition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MediatedGame:
     """Base game plus per-player signal labels and a mediator distribution."""
 
@@ -87,7 +87,7 @@ class MediatedGame:
         return marginal(self.mediator, i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomizedStrategyProfile:
     """Per player, a row-stochastic matrix from signals to mixed actions."""
 

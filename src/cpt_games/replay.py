@@ -65,7 +65,7 @@ def repair_block_starts(occurrences: int) -> list[int]:
     return starts
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplayScripts:
     """Per-player deterministic scripts plus the replay report."""
 

@@ -67,7 +67,7 @@ COLUMN_LABELS = ("I", "II", "III", "IV")
 MAX_PROBE_HORIZON = 10_000_000  # longest tail-probe run, 2 * T_block ** (k + 1) steps
 
 
-def counterexample_game(gamma_row: float = 0.5, gamma_col: float = 1.0) -> Game:
+def counterexample_game(gamma_row: float = 0.5) -> Game:
     """Two-player 2x4 game with a nonconvex correlated-equilibrium set."""
     w = prelec_weighting(gamma_row)
     beta = 1.0 / w(0.5)
@@ -76,23 +76,22 @@ def counterexample_game(gamma_row: float = 0.5, gamma_col: float = 1.0) -> Game:
     payoffs[0, 1] = 1.99
     payoffs[1, 0] = 1.0
     payoffs[1, 1] = 0.0
+    col = prelec_weighting(1.0)  # the column player weighs like an expected-value maximizer
     prefs = (
         CptPreferences(identity_value(0.0), w, w),
-        CptPreferences(
-            identity_value(0.0), prelec_weighting(gamma_col), prelec_weighting(gamma_col)
-        ),
+        CptPreferences(identity_value(0.0), col, col),
     )
     return Game((("0", "1"), COLUMN_LABELS), payoffs, prefs)
 
 
-def counterexample_game_3p(gamma_row: float = 0.5, gamma_col: float = 1.0) -> Game:
+def counterexample_game_3p() -> Game:
     """Three-player variant: the two column players must coordinate.
 
     All payoffs are -1 when players 2 and 3 split; when they agree the
     payoffs follow the two-player table with their common action as the
     column.
     """
-    two = counterexample_game(gamma_row, gamma_col)
+    two = counterexample_game()
     payoffs = np.full((3, 2, 4, 4), -1.0)
     for a1 in range(2):
         for c in range(4):

@@ -70,6 +70,14 @@ class TestCalibrationScore:
         assert np.all(calibration_score(rec, t=1) == 0.0)
         assert calibration_score(rec, t=2)[1] == pytest.approx(0.5)
 
+    def test_record_starts_empty_from_its_outcome_count(self):
+        # a dictionary handed in without its interning keys would let
+        # ``intern`` add a second copy of a vector it already holds
+        with pytest.raises(TypeError):
+            ForecastRecord(2, dictionary=[np.array([0.5, 0.5])])
+        rec = ForecastRecord(2)
+        assert rec.intern(np.array([0.5, 0.5])) == rec.intern(np.array([0.5, 0.5])) == 0
+
     def test_record_from_steps_interns_in_order_of_first_use(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0])]
         rec = ForecastRecord.from_steps(2, vectors, np.array([2, 0, 2, 1]), np.array([1, 0, 1, 1]))

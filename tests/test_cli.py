@@ -187,6 +187,19 @@ class TestSimulate:
     def test_unknown_scenario_exits_4(self, files):
         assert main(["simulate", "--config", files["cfg_bad.json"]]) == 4
 
+    def test_stdout_is_the_written_summary(self, files, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", files["cfg.json"], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "summary.json").read_text()
+
+    def test_seed_option_overrides_the_config_seed(self, files, tmp_path, capsys):
+        assert main(["simulate", "--config", files["cfg.json"], "--seed", "7"]) == 0
+        overridden = capsys.readouterr().out
+        assert json.loads(overridden)["config"]["seed"] == 7
+        dump_json({**load_json(files["cfg.json"]), "seed": 7}, tmp_path / "seed7.json")
+        assert main(["simulate", "--config", str(tmp_path / "seed7.json")]) == 0
+        assert capsys.readouterr().out == overridden
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -233,6 +246,13 @@ class TestReplay:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert max(doc["result"]["calibration_scores"]) <= 0.01
+
+    def test_stdout_is_the_written_report(self, files, tmp_path, capsys):
+        out = tmp_path / "replay"
+        code = main(["replay", "--game", files["mediated.json"], "--steps", "400",
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == (out / "replay.json").read_text()
 
     def test_collision_exits_5(self, files, capsys):
         code = main(["replay", "--game", files["mediated_bare.json"], "--steps", "100"])

@@ -9,7 +9,6 @@ import pytest
 from cpt_games.cpt import (
     CptPreferences,
     Lottery,
-    RegretTriples,
     _block_cumulative,
     cpt_regret,
     cpt_value,
@@ -156,17 +155,6 @@ class TestLottery:
         assert cpt_value(lot, prelec_prefs) == before
         assert lot.outcomes.tolist() == [1.0, 2.0]
 
-    def test_regret_triples_own_their_outcomes(self, prelec_prefs):
-        zc, zr = np.array([1.0, 2.0]), np.array([0.5, -1.0])
-        triples = RegretTriples([0.25, 0.75], zc, zr)
-        before = cpt_regret(triples, prelec_prefs)
-        assert zc.flags.writeable and zr.flags.writeable
-        zc[:] = 9.0
-        zr[:] = -9.0
-        assert cpt_regret(triples, prelec_prefs) == before
-        assert triples.counterfactual.tolist() == [1.0, 2.0]
-        assert triples.realized.tolist() == [0.5, -1.0]
-
 
 class TestRankOutcomes:
     def test_basic_order(self):
@@ -292,20 +280,19 @@ class TestCptValues:
 
 class TestCptRegret:
     def test_identical_outcomes_zero(self, prelec_prefs):
-        triples = RegretTriples([0.5, 0.5], [1.0, 2.0], [1.0, 2.0])
-        assert cpt_regret(triples, prelec_prefs) == 0.0
+        assert cpt_regret([0.5, 0.5], [1.0, 2.0], [1.0, 2.0], prelec_prefs) == 0.0
 
     def test_uniform_counterfactual_bottom_row(self, prelec_prefs, beta, mu_unif):
         # derived from the reported values 1.99 and 1.985
         top = [2.0 * beta, beta + 1.0, 0.0, 1.0]
-        triples = RegretTriples(mu_unif, [1.99] * 4, top)
-        assert cpt_regret(triples, prelec_prefs) == pytest.approx(0.005, abs=3e-3)
+        regret = cpt_regret(mu_unif, [1.99] * 4, top, prelec_prefs)
+        assert regret == pytest.approx(0.005, abs=3e-3)
 
     def test_odd_counterfactual_bottom_row(self, prelec_prefs, beta, mu_odd):
         # derived from the reported values 1.99 and 2
         top = [2.0 * beta, beta + 1.0, 0.0, 1.0]
-        triples = RegretTriples(mu_odd, [1.99] * 4, top)
-        assert cpt_regret(triples, prelec_prefs) == pytest.approx(-0.01, abs=3e-3)
+        regret = cpt_regret(mu_odd, [1.99] * 4, top, prelec_prefs)
+        assert regret == pytest.approx(-0.01, abs=3e-3)
 
 
 class TestSerialization:

@@ -18,7 +18,7 @@ from cpt_games.engine import (
     regret_matrix_from_counts,
     run_engine,
 )
-from cpt_games.cpt import RegretTriples, cpt_regret
+from cpt_games.cpt import cpt_regret
 from cpt_games.games import Game, conditional, marginal
 from cpt_games.equilibrium import region_membership
 from cpt_games.harness import random_game
@@ -450,7 +450,7 @@ def regret_matrix_by_pairs(game, i, counts, t):
         for d in range(k):
             if d != a:
                 counterfactual = np.take(game.payoffs[i], d, axis=i).ravel()
-                reg = cpt_regret(RegretTriples(cond, counterfactual, realized), game.prefs[i])
+                reg = cpt_regret(cond, counterfactual, realized, game.prefs[i])
                 out[a, d] = slab.sum() / float(t) * reg
     return out
 

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from cpt_games.calibration import ForecastRecord
+from cpt_games.cpt import Lottery, eut_preferences
+from cpt_games.engine import FixedMixStrategy, run_engine
 from cpt_games.games import (
     Game,
     JointDistribution,
@@ -18,6 +21,10 @@ from cpt_games.games import (
     product_join,
     profile_counts,
 )
+from cpt_games.harness import canonical_replay_instance
+from cpt_games.mediated import identity_mediated_game, obedient_profile
+from cpt_games.replay import construct_calibrated_replay
+from cpt_games.scripted import UNIFORM_MIX, counterexample_game, cycle_average_distribution
 
 LOG_SHAPES = [(1, 3), (2, 4), (2, 4, 4), (3, 2, 5), (2, 2, 2, 3)]
 
@@ -44,7 +51,7 @@ class TestGameValidation:
 
     def test_defaults_to_eut_preferences(self):
         g = Game([("a", "b"), ("x", "y")], np.zeros((2, 2, 2)))
-        assert all(p.is_eut for p in g.prefs)
+        assert all(p == eut_preferences() for p in g.prefs)
 
 
 class TestJointDistribution:
@@ -219,3 +226,52 @@ class TestActionLogLayout:
         assert counts.dtype == np.int64 and counts.shape == shape
         assert np.array_equal(counts, expected)
         assert np.array_equal(profile_counts(shape, log[:0]), np.zeros(shape, dtype=np.int64))
+
+
+def _canonical_replay():
+    _, _, mg, sigma, repair = canonical_replay_instance()
+    return construct_calibrated_replay(mg, sigma, 64, repair_points=repair)
+
+
+def _short_run():
+    game = counterexample_game()
+    return run_engine(game, [FixedMixStrategy([0.5, 0.5]), FixedMixStrategy(UNIFORM_MIX)], 16, 0)
+
+
+def _mediated():
+    mu = JointDistribution(cycle_average_distribution())
+    return identity_mediated_game(counterexample_game(), mu)
+
+
+# one call per type whose fields hold arrays; two calls give equal-valued, distinct objects
+ARRAY_HOLDERS = {
+    "Game": counterexample_game,
+    "JointDistribution": lambda: JointDistribution(cycle_average_distribution()),
+    "ProductDistribution": lambda: ProductDistribution([[0.5, 0.5], UNIFORM_MIX]),
+    "OpponentDistribution": lambda: OpponentDistribution(0, UNIFORM_MIX),
+    "Lottery": lambda: Lottery([0.5, 0.5], [1.0, 2.0]),
+    "MediatedGame": _mediated,
+    "RandomizedStrategyProfile": lambda: obedient_profile(_mediated()),
+    "Checkpoint": lambda: _short_run().checkpoints[-1],
+    "RunTrace": _short_run,
+    "ReplayScripts": _canonical_replay,
+    "ForecastRecord": lambda: ForecastRecord.from_steps(
+        2, [np.array([0.5, 0.5]), np.array([1.0, 0.0])], np.array([0, 1, 1]), np.array([1, 0, 0])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in [b, a] and b not in [a]
+    assert {a: 0, b: 1}[a] == 0 and len({a, b}) == 2
+
+
+def test_preferences_compare_by_value():
+    assert eut_preferences() == eut_preferences()
+    assert hash(eut_preferences()) == hash(eut_preferences())
+    assert counterexample_game().prefs == counterexample_game().prefs

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cpt_games import harness
+from cpt_games.cpt import eut_preferences
 from cpt_games.harness import (
     RunConfig,
     SCENARIOS,
@@ -55,9 +56,9 @@ class TestGenerators:
         g = random_game(rng, (2, 3, 2))
         assert g.shape == (2, 3, 2)
         assert g.payoffs.shape == (3, 2, 3, 2)
-        assert not any(p.is_eut for p in g.prefs)
+        assert not any(p == eut_preferences() for p in g.prefs)
         g2 = random_game(rng, (2, 2), eut=True)
-        assert all(p.is_eut for p in g2.prefs)
+        assert all(p == eut_preferences() for p in g2.prefs)
 
     def test_random_distribution_valid(self):
         rng = np.random.default_rng(2)

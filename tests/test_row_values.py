@@ -20,7 +20,6 @@ from cpt_games.cpt import (
     PROB_SUM_TOL,
     CptPreferences,
     Lottery,
-    RegretTriples,
     cpt_regret,
     cpt_value,
     decision_weights,
@@ -204,8 +203,8 @@ def test_single_point_values_equal_the_frozen_scalar_evaluator(name):
                 ref_weights, ref_split = ref_decision_weights(lot, prefs)
                 assert np.array_equal(weights, ref_weights) and split == ref_split
                 for dev in range(k):
-                    triples = RegretTriples(pi.flat(), lot.outcomes, lotteries[dev].outcomes)
-                    assert cpt_regret(triples, prefs) == expected[a] - expected[dev]
+                    regret = cpt_regret(pi.flat(), lot.outcomes, lotteries[dev].outcomes, prefs)
+                    assert regret == expected[a] - expected[dev]
                     _, margin = region_membership(game, i, a, dev, pi)
                     assert margin == expected[a] - expected[dev]
 
