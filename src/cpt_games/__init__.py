@@ -16,7 +16,6 @@ from .cpt import (
     preferences_from_dict,
     preferences_to_dict,
     prelec_weighting,
-    rank_outcomes,
     tabulated_weighting,
 )
 from .games import (

@@ -94,14 +94,13 @@ class ForecastRecord:
         return len(self.forecasts)
 
 
-def calibration_score(record: ForecastRecord, t: int | None = None) -> np.ndarray:
-    """Per-outcome calibration scores after the first ``t`` steps."""
-    if t is None:
-        t = len(record)
-    if t < 1 or t > len(record):
-        raise ValueError("t must lie in [1, record length]")
-    ids = np.asarray(record.forecasts[:t], dtype=np.intp)
-    ys = np.asarray(record.outcomes[:t], dtype=np.intp)
+def calibration_score(record: ForecastRecord) -> np.ndarray:
+    """Per-outcome calibration scores of the whole record."""
+    t = len(record)
+    if t == 0:
+        raise ValueError("calibration score needs a nonempty record")
+    ids = np.asarray(record.forecasts, dtype=np.intp)
+    ys = np.asarray(record.outcomes, dtype=np.intp)
     n_ids = len(record.dictionary)
     counts = np.zeros((n_ids, record.n_outcomes))
     np.add.at(counts, (ids, ys), 1.0)

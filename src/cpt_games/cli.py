@@ -29,6 +29,7 @@ from .fileio import (
     load_json,
     lottery_from_dict,
     mediated_game_from_dict,
+    to_json,
 )
 from .cpt import cpt_value, preferences_from_dict
 from .games import ProductDistribution, marginal, product_join
@@ -85,12 +86,11 @@ def cmd_check(args) -> int:
             cert = check_mediated_eq(game, mu, resolution=args.grid, **tol)
         else:
             return _fail(f"unknown mode {args.mode!r}", 2)
+        # strict JSON: a tolerance of inf or nan is an invalid input
+        text = to_json({**cert.to_dict(), "schema_version": SCHEMA_VERSION, "mode": args.mode})
     except ValueError as e:
         return _fail(str(e), 2)
-    doc = cert.to_dict()
-    doc["schema_version"] = SCHEMA_VERSION
-    doc["mode"] = args.mode
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(text)
     return 0 if cert.member else 1
 
 
@@ -105,12 +105,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     try:
-        summary = run_scenario(config)
+        text = to_json(run_scenario(config))
     except KeyError as e:
         return _fail(f"unknown scenario: {e}", 4)
     except ValueError as e:
         return _fail(str(e), 2)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(text)
     return 0
 
 
@@ -136,7 +136,7 @@ def cmd_replay(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         dump_json(report, out / "replay.json")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(to_json(report))
     return 0
 
 

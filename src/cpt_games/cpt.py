@@ -36,7 +36,6 @@ __all__ = [
     "eut_preferences",
     "Lottery",
     "evaluate_weight",
-    "rank_outcomes",
     "decision_weights",
     "cpt_value",
     "row_values",
@@ -171,14 +170,8 @@ class ValueFunction:
             x = getattr(self, name)
             if x is None or not (lo < x <= hi):
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.loss_aversion is None or self.loss_aversion < 1.0:
+        if self.loss_aversion is None or not self.loss_aversion >= 1.0:  # NaN fails
             raise ValueError("loss_aversion must be >= 1")
-        # Monotonicity is analytic for these parameters; the sampled check
-        # guards against future kinds and parameter regressions.
-        zs = self.reference + np.linspace(-5.0, 5.0, 41)
-        vs = self(zs)
-        if np.any(np.diff(vs) <= 0):
-            raise ValueError("value function is not strictly increasing")
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=float)
@@ -221,9 +214,9 @@ class CptPreferences:
         return self.value.reference
 
 
-def eut_preferences(reference: float = 0.0) -> CptPreferences:
-    """Expected-utility special case: identity value and weights."""
-    return CptPreferences(identity_value(reference), identity_weighting(), identity_weighting())
+def eut_preferences() -> CptPreferences:
+    """Expected-utility special case: identity value and weights, reference 0."""
+    return CptPreferences(identity_value(), identity_weighting(), identity_weighting())
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +298,6 @@ def _rank(z: list[float]) -> list[int]:
     reproducible; the CPT value does not depend on how ties are broken.
     """
     return sorted(range(len(z)), key=z.__getitem__, reverse=True)
-
-
-def rank_outcomes(lottery: Lottery) -> np.ndarray:
-    """Indices sorting the lottery's outcomes from largest to smallest."""
-    return np.array(_rank(lottery.outcomes.tolist()), dtype=np.intp)
 
 
 def _block_cumulative(p: list[float], z: list[float], total: float) -> list[float]:

@@ -62,6 +62,11 @@ __all__ = [
 ]
 
 
+def _json_margin(x: float) -> float | str:
+    """``x`` for strict JSON: a value that is not finite is written as a string, "-inf"."""
+    return x if np.isfinite(x) else str(float(x))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of a membership check.
@@ -72,7 +77,7 @@ class Certificate:
     the most violated inequality or the convex combination certifying hull
     membership.  ``meta`` carries check parameters such as the grid
     resolution attached to sampled non-member verdicts.  ``to_dict`` is
-    strict JSON: a margin that is not finite is written as a string, "-inf".
+    strict JSON: its margin goes through ``_json_margin``.
     """
 
     member: bool
@@ -87,7 +92,7 @@ class Certificate:
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "margin": self.margin if np.isfinite(self.margin) else str(float(self.margin)),
+            "margin": _json_margin(self.margin),
             "witness": self.witness,
             "meta": self.meta,
         }
@@ -141,31 +146,39 @@ def _conditionals(mu: JointDistribution, players):
                 yield i, a_i, conditional(mu, i, a_i, m)
 
 
-def _worst_deviation(game: Game, cases) -> tuple[float, tuple | None]:
-    """Least slack V(a) - V(d) over pure deviations d != a, for every case.
-
-    A case is (i, pi, supported actions of i): the assessment pi is what
-    the conditioning event (a recommended action, the opponents' product
-    mix, a received signal) tells player i.  Returns the least slack and
-    (case index, i, a, d) where it is first attained, or (inf, None) when
-    no supported action has a deviation.
-    """
-    worst, where = np.inf, None
-    for n, (i, pi, supported) in enumerate(cases):
-        # Python floats: for a few actions a plain loop costs less than NumPy calls
-        values = action_values(game, i, pi).tolist()
-        for a in supported:
-            for d, v in enumerate(values):
-                if d != a and values[a] - v < worst:
-                    worst, where = values[a] - v, (n, i, int(a), d)
-    return worst, where
-
-
 def _violation(player: int, action: int, deviation: int | None, **event) -> dict:
     """Witness of the most violated inequality."""
     return {
         "kind": "violation", "player": player, **event, "action": action, "deviation": deviation
     }
+
+
+def _deviation_certificate(game: Game, cases, check: str, tol: float, clamp: bool) -> Certificate:
+    """Certificate of the least slack V(a) - V(d) over pure deviations d != a.
+
+    A case is (i, pi, supported actions of i, witness keys of the event):
+    the assessment pi is what the conditioning event (a recommended action,
+    the opponents' product mix, a received signal) tells player i, and the
+    keys (``{}`` or ``{"signal": b}``) name that event in the witness.  A
+    violation witness names where the least slack is first attained.
+    ``clamp`` caps the margin at 0, a best action's margin against the top
+    value; a scan with no deviation has margin 0.
+    """
+    worst, where = np.inf, None
+    for i, pi, supported, event in cases:
+        # Python floats: for a few actions a plain loop costs less than NumPy calls
+        values = action_values(game, i, pi).tolist()
+        for a in supported:
+            for d, v in enumerate(values):
+                if d != a and values[a] - v < worst:
+                    worst, where = values[a] - v, (i, int(a), d, event)
+    if where is None:
+        worst = 0.0
+    elif clamp:
+        worst = min(worst, 0.0)
+    member = worst >= -tol
+    witness = {"kind": "none"} if member else _violation(*where[:3], **where[3])
+    return Certificate(member, worst, witness, {"check": check, "tol": tol})
 
 
 def check_correlated_eq(
@@ -174,14 +187,8 @@ def check_correlated_eq(
     """Membership of a joint distribution in the correlated-equilibrium set."""
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
-    cases = ((i, pi, [a_i]) for i, a_i, pi in _conditionals(mu, range(game.n)))
-    worst, where = _worst_deviation(game, cases)
-    if where is None:
-        # single-action players everywhere: no deviation, margin 0 as in check_nash
-        worst = 0.0
-    member = worst >= -tol
-    witness = {"kind": "none"} if member else _violation(*where[1:])
-    return Certificate(member, worst, witness, {"check": "correlated", "tol": tol})
+    cases = ((i, pi, [a_i], {}) for i, a_i, pi in _conditionals(mu, range(game.n)))
+    return _deviation_certificate(game, cases, "correlated", tol, clamp=False)
 
 
 def check_nash(
@@ -197,13 +204,10 @@ def check_nash(
         raise TypeError("check_nash requires a product-form distribution")
     if tuple(len(f) for f in mu.factors) != game.shape:
         raise ValueError("distribution shape does not match the game")
-    cases = ((i, mu.opponent_mix(i), np.flatnonzero(f > 0.0)) for i, f in enumerate(mu.factors))
-    worst, where = _worst_deviation(game, cases)
-    # a best action's margin against the top value is 0, not its positive slack
-    worst = min(worst, 0.0)
-    member = worst >= -tol
-    witness = {"kind": "none"} if member else _violation(*where[1:])
-    return Certificate(member, worst, witness, {"check": "nash", "tol": tol})
+    cases = (
+        (i, mu.opponent_mix(i), np.flatnonzero(f > 0.0), {}) for i, f in enumerate(mu.factors)
+    )
+    return _deviation_certificate(game, cases, "nash", tol, clamp=True)
 
 
 def default_grid_resolution(game: Game, i: int) -> int:
@@ -301,12 +305,12 @@ def _hull_check_one(
     pi: OpponentDistribution,
     resolution: int,
     tol: float,
-    region_cache: dict | None,
+    region_cache: dict,
 ) -> tuple[Certificate, int]:
     """Hull membership of one conditional against its acceptance region.
 
     The region is cut to its candidate extreme points once, before it is
-    cached under (player, action, resolution, tolerance).  Returns the
+    cached under (game, player, action, resolution, tolerance).  Returns the
     certificate and the number of region points handed to the hull LP.
     """
     # a conditional that passes the exact region test certifies itself
@@ -314,20 +318,17 @@ def _hull_check_one(
         return Certificate(
             True, 0.0, {"kind": "hull", "theta": [1.0], "points": [pi.flat().tolist()]}
         ), 0
-    key = (i, a_i, resolution, tol)
-    if region_cache is not None and key in region_cache:
-        points = region_cache[key]
-    else:
+    key = (game, i, a_i, resolution, tol)
+    points = region_cache.get(key)
+    if points is None:
         points = _extreme_candidates(sample_region(game, i, a_i, resolution, tol), resolution)
-        if region_cache is not None:
-            region_cache[key] = points
+        region_cache[key] = points
     return hull_membership(pi, points, tol), len(points)
 
 
 def _hull_checks(game, mu, players, resolution, tol, region_cache):
     """(i, a_i, certificate, LP points) for every supported conditional."""
-    if region_cache is not None and region_cache.setdefault("game", game) is not game:
-        raise ValueError("the region cache holds the regions of another game")
+    region_cache = {} if region_cache is None else region_cache
     res = [
         resolution if resolution is not None else default_grid_resolution(game, i)
         for i in range(game.n)
@@ -349,8 +350,9 @@ def check_mediated_eq(
     hull of its sampled acceptance region.  Membership verdicts are sound
     up to the region tolerance; non-membership is relative to the grid
     resolution recorded in ``meta``, which also counts the region points
-    handed to hull LPs (``lp_points``).  A ``region_cache`` serves one game:
-    passed with another, it raises ``ValueError``.
+    handed to hull LPs (``lp_points``).  A ``region_cache`` dict keeps the
+    sampled regions between calls, keyed by game, so one dict may serve
+    several games.
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")

@@ -33,6 +33,7 @@ SCHEMA_VERSION = 1
 
 __all__ = [
     "SCHEMA_VERSION",
+    "to_json",
     "dump_json",
     "load_json",
     "game_to_dict",
@@ -46,8 +47,13 @@ __all__ = [
 ]
 
 
+def to_json(doc: dict) -> str:
+    """Strict JSON text of ``doc``: a NaN or infinity raises ``ValueError``."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
 def dump_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(to_json(doc) + "\n")
 
 
 def load_json(path: str | Path) -> dict:

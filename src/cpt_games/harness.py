@@ -15,7 +15,13 @@ import numpy as np
 
 from .cpt import CptPreferences, eut_preferences, piecewise_power_value, prelec_weighting
 from .engine import ForecastingBestReaction, run_engine, max_calibration_score
-from .equilibrium import DEFAULT_GRID, DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq
+from .equilibrium import (
+    DEFAULT_GRID,
+    DEFAULT_HULL_TOL,
+    _json_margin,
+    check_correlated_eq,
+    check_mediated_eq,
+)
 from .fileio import SCHEMA_VERSION, dump_json, write_trace_jsonl
 from .games import Game, JointDistribution
 from .mediated import construct_mediator
@@ -252,9 +258,9 @@ def _scenario_random(config: RunConfig) -> dict:
         "sizes": list(sizes),
         "calibration_scores": [max_calibration_score(trace, i) for i in range(game.n)],
         "correlated_verdict": corr.verdict,
-        "correlated_margin": corr.margin,
+        "correlated_margin": _json_margin(corr.margin),
         "mediated_verdict": med.verdict,
-        "mediated_margin": med.margin,
+        "mediated_margin": _json_margin(med.margin),
     }
 
 

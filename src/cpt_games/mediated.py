@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import (
-    DEFAULT_TOL,
-    Certificate,
-    _conditionals,
-    _violation,
-    _worst_deviation,
-)
+from .equilibrium import DEFAULT_TOL, Certificate, _conditionals, _deviation_certificate
 from .games import Game, JointDistribution, OpponentDistribution, marginal, opponent_strides
 
 WITNESS_MIX_TOL = 1e-6
@@ -99,7 +93,8 @@ class RandomizedStrategyProfile:
             a = np.asarray(m, dtype=float).copy()
             if a.ndim != 2:
                 raise ValueError(f"strategy map {k} must be 2-d (signals x actions)")
-            if np.any(a < -1e-12) or np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-9):
+            # written so that NaN fails the test
+            if not ((a >= -1e-12).all() and (np.abs(a.sum(axis=1) - 1.0) <= 1e-9).all()):
                 raise ValueError(f"strategy map {k} rows must be distributions")
             np.clip(a, 0.0, None, out=a)
             a.setflags(write=False)
@@ -173,22 +168,14 @@ def verify_mediated_nash(
     mg: MediatedGame, sigma: RandomizedStrategyProfile, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Are all supported actions best reactions to their signal assessments?"""
-    signals = [
-        (i, b_i) for i in range(mg.base.n) for b_i, p in enumerate(mg.signal_marginal(i)) if p > 0.0
-    ]
     cases = (
-        (i, signal_assessment(mg, sigma, i, b_i), np.flatnonzero(sigma.maps[i][b_i] > 0.0))
-        for i, b_i in signals
+        (i, signal_assessment(mg, sigma, i, b_i), np.flatnonzero(sigma.maps[i][b_i] > 0.0),
+         {"signal": b_i})
+        for i in range(mg.base.n)
+        for b_i, p in enumerate(mg.signal_marginal(i))
+        if p > 0.0
     )
-    worst, where = _worst_deviation(mg.base, cases)
-    # a best action's margin against the top value is 0, not its positive slack
-    worst = min(worst, 0.0)
-    member = worst >= -tol
-    witness = {"kind": "none"}
-    if not member:
-        n, i, a_i, dev = where
-        witness = _violation(i, a_i, dev, signal=signals[n][1])
-    return Certificate(member, worst, witness, {"check": "mediated-nash", "tol": tol})
+    return _deviation_certificate(mg.base, cases, "mediated-nash", tol, clamp=True)
 
 
 def reduce_convex_witness(
@@ -254,17 +241,18 @@ def construct_mediator(
         pairs = witnesses[(i, a_i)]
         th = np.array([w for w, _ in pairs], dtype=float)
         zs = np.array([np.asarray(z, dtype=float).ravel() for _, z in pairs])
-        if np.any(th < -1e-12) or abs(th.sum() - 1.0) > 1e-9:
+        # the tests below are written so that NaN fails them
+        if not ((th >= -1e-12).all() and abs(th.sum() - 1.0) <= 1e-9):
             raise InvalidWitnessError(
                 f"weights for player {i} action {a_i} are not a distribution"
             )
         c = target.flat()
         for k, z in enumerate(zs):
-            if np.any(z < -WITNESS_MIX_TOL):
+            if not (z >= -WITNESS_MIX_TOL).all():
                 raise InvalidWitnessError(
                     f"witness point {k} for player {i} action {a_i} has a negative entry"
                 )
-            if z[c == 0.0].sum() > WITNESS_MIX_TOL:
+            if not z[c == 0.0].sum() <= WITNESS_MIX_TOL:
                 raise InvalidWitnessError(
                     f"witness point {k} for player {i} action {a_i} puts mass off "
                     "the support of the conditional"
@@ -278,7 +266,7 @@ def construct_mediator(
                 f"witness for player {i} action {a_i} needs more than "
                 f"{n_idx[i]} points after reduction"
             )
-        if np.max(np.abs(zs.T @ th - c)) > WITNESS_MIX_TOL:
+        if not np.max(np.abs(zs.T @ th - c)) <= WITNESS_MIX_TOL:
             raise InvalidWitnessError(
                 f"witness mixture for player {i} action {a_i} misses the conditional"
             )

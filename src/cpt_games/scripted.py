@@ -38,7 +38,7 @@ from .engine import (
     regret_matrix_from_counts,
     run_engine,
 )
-from .equilibrium import DEFAULT_HULL_TOL, check_correlated_eq, check_mediated_eq
+from .equilibrium import DEFAULT_HULL_TOL, _json_margin, check_correlated_eq, check_mediated_eq
 from .games import Game, JointDistribution
 
 __all__ = [
@@ -187,16 +187,18 @@ def scripted_cycle_run(
             )
     med = by_xi[trace.checkpoints[-1].xi.tobytes()]
     # 0.0 first: a self-certified conditional's -margin is -0.0
-    distances = [(cp.t, max(0.0, -by_xi[cp.xi.tobytes()].margin)) for cp in trace.checkpoints]
+    distances = [
+        (cp.t, _json_margin(max(0.0, -by_xi[cp.xi.tobytes()].margin))) for cp in trace.checkpoints
+    ]
     report = {
         "variant": variant,
         "horizon": T,
         "calibration_scores": scores,
         "correlated_verdict": corr.verdict,
-        "correlated_margin": corr.margin,
+        "correlated_margin": _json_margin(corr.margin),
         "correlated_witness": corr.witness,
         "mediated_verdict": med.verdict,
-        "mediated_margin": med.margin,
+        "mediated_margin": _json_margin(med.margin),
         "hull_distances": distances,
         "grid_resolution": resolution if resolution is not None else "default",
     }
@@ -261,10 +263,11 @@ def _bar_regret(game: Game, trace: RunTrace, T_block: int, k: int) -> float:
     return max(r1[1, 0], 0.0) + max(r2[0, 1], 0.0) + max(r2[1, 0], 0.0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96
     p = successes / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom

@@ -62,14 +62,6 @@ class TestCalibrationScore:
             rec2.append(q2, 0)
         assert np.allclose(calibration_score(rec2), [0.5, 0.5])
 
-    def test_prefix_evaluation(self):
-        rec = ForecastRecord(2)
-        q = rec.intern(np.array([1.0, 0.0]))
-        rec.append(q, 0)
-        rec.append(q, 1)
-        assert np.all(calibration_score(rec, t=1) == 0.0)
-        assert calibration_score(rec, t=2)[1] == pytest.approx(0.5)
-
     def test_record_starts_empty_from_its_outcome_count(self):
         # a dictionary handed in without its interning keys would let
         # ``intern`` add a second copy of a vector it already holds

@@ -166,6 +166,15 @@ class TestCheck:
         assert doc["verdict"] == "non-member" and doc["margin"] == "-inf"
         assert doc["meta"]["lp_points"] == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_2(self, files, tol, capsys):
+        # strict JSON cannot write the tolerance into the certificate's meta
+        code = main(["check", "--game", files["game.json"], "--dist", files["mu_o.json"],
+                     "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_shape_mismatch_exits_3(self, files, tmp_path, capsys):
         dump_json(
             distribution_to_dict(JointDistribution(np.full((2, 2), 0.25))),
@@ -220,6 +229,29 @@ class TestSimulate:
     )
     def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):
         dump_json(doc, tmp_path / "cfg.json")
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_non_finite_margin_prints_strict_json(self, tmp_path, capsys):
+        # on this seed the resolution-1 grid gives an empty sampled region, so
+        # the mediated margin is -inf, which the summary writes as "-inf"
+        doc = {"scenario": "random", "T": 300, "seed": 4, "grid_resolution": 1,
+               "extras": {"sizes": [2, 3]}}
+        dump_json(doc, tmp_path / "cfg.json")
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        result = json.loads(capsys.readouterr().out, parse_constant=reject)["result"]
+        assert result["mediated_verdict"] == "non-member"
+        assert result["mediated_margin"] == "-inf"
+        assert isinstance(result["correlated_margin"], float)
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        # Python's json reads NaN, which strict JSON cannot write back
+        (tmp_path / "cfg.json").write_text('{"scenario": "example1-2p", "T": 64, "tol": NaN}')
         assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")

@@ -22,7 +22,6 @@ from cpt_games.cpt import (
     preferences_from_dict,
     preferences_to_dict,
     prelec_weighting,
-    rank_outcomes,
     tabulated_weighting,
 )
 
@@ -127,6 +126,15 @@ class TestValueFunction:
         with pytest.raises(ValueError):
             piecewise_power_value(0.0, 0.5, 0.5, 0.5)
 
+    def test_large_reference_is_accepted_and_increasing(self):
+        # at 1e16 the floats are 2 apart, so r - 1 and r + 1 round to r; the
+        # neighbouring floats r - 2 and r + 2 are still valued in order
+        r = 1e16
+        lo, hi = np.nextafter(r, -np.inf), np.nextafter(r, np.inf)
+        assert (lo, hi) == (r - 2.0, r + 2.0)
+        for v in (piecewise_power_value(r, 0.5, 0.5, 2.0), identity_value(r)):
+            assert v(lo) < v(r) == 0.0 < v(hi)
+
 
 class TestLottery:
     def test_small_mass_deviation_normalized_in_evaluation(self):
@@ -156,21 +164,6 @@ class TestLottery:
         assert lot.outcomes.tolist() == [1.0, 2.0]
 
 
-class TestRankOutcomes:
-    def test_basic_order(self):
-        # outcomes (0, 5, 3): best to worst is entries 2, 3, 1 in 1-based order
-        perm = rank_outcomes(Lottery([1 / 3] * 3, [0.0, 5.0, 3.0]))
-        assert list(perm) == [1, 2, 0]
-
-    def test_tie_breaks_by_original_index(self):
-        perm = rank_outcomes(Lottery([0.5, 0.5], [4.0, 4.0]))
-        assert list(perm) == [0, 1]
-
-    def test_sorted_input_is_identity(self):
-        perm = rank_outcomes(Lottery([1 / 3] * 3, [9.0, 7.0, 1.0]))
-        assert list(perm) == [0, 1, 2]
-
-
 class TestDecisionWeights:
     def test_two_gains_prelec(self, prelec_prefs):
         pi, split = decision_weights(Lottery([0.5, 0.5], [2.0, 1.0]), prelec_prefs)
@@ -181,7 +174,8 @@ class TestDecisionWeights:
     def test_identity_weights_equal_sorted_probabilities(self):
         lot = Lottery([0.3, 0.2, 0.5], [1.0, -4.0, 2.0])
         pi, split = decision_weights(lot, eut_preferences())
-        order = rank_outcomes(lot)
+        # best to worst, ties in their original order
+        order = np.argsort(-lot.outcomes, kind="stable")
         assert np.array_equal(pi, lot.probs[order])
         assert split == 2
 

@@ -1,6 +1,7 @@
 """Equilibrium membership: regions, correlated, Nash, hulls, mediated."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -438,9 +439,11 @@ class TestMediated:
                 fresh = check_mediated_eq(game, mu, resolution=res, tol=tol)
                 assert shared.to_dict() == fresh.to_dict()
 
-    def test_region_cache_serves_one_game(self, game, mu_star):
-        # a cache warmed on one game would certify another game's conditional
-        # from the first game's regions: row action 0 pays -10 in the second
+    def test_region_cache_serves_several_games(self, game, mu_star):
+        # regions are keyed by game: a cache warmed on one game must not certify
+        # another game's conditional from the first game's regions (a member
+        # verdict, margin -1.4e-17, where a fresh check says non-member); row
+        # action 0 pays -10 in the second game
         cache: dict = {}
         assert check_mediated_eq(game, mu_star, region_cache=cache).member
         payoffs = np.array(game.payoffs)
@@ -448,11 +451,15 @@ class TestMediated:
         other = Game(game.actions, payoffs, game.prefs)
         fresh = check_mediated_eq(other, mu_star)
         assert not fresh.member and fresh.margin == -np.inf
-        with pytest.raises(ValueError, match="another game"):
-            check_mediated_eq(other, mu_star, region_cache=cache)
-        with pytest.raises(ValueError, match="another game"):
+        shared = check_mediated_eq(other, mu_star, region_cache=cache)
+        dumped = json.dumps(shared.to_dict(), sort_keys=True)
+        assert dumped == json.dumps(fresh.to_dict(), sort_keys=True)
+        assert (
             mediated_hull_distance(other, mu_star, region_cache=cache)
-        # the game it served still reads the cache
+            == mediated_hull_distance(other, mu_star)
+            == np.inf
+        )
+        # the game it served first still reads its own regions
         assert check_mediated_eq(game, mu_star, region_cache=cache).member
 
     def test_hull_distance_zero_for_members(self, game, mu_star, mu_o):

@@ -15,7 +15,6 @@ from cpt_games.cpt import (
     identity_weighting,
     piecewise_power_value,
     prelec_weighting,
-    rank_outcomes,
     tabulated_weighting,
 )
 from cpt_games.equilibrium import check_correlated_eq, check_mediated_eq, hull_membership
@@ -108,7 +107,9 @@ def test_eut_reduction(lot):
 @given(lotteries())
 def test_identity_weights_are_sorted_probabilities(lot):
     pi, _ = decision_weights(lot, eut_preferences())
-    assert np.array_equal(pi, lot.probs[rank_outcomes(lot)])
+    # best to worst, ties in their original order
+    order = np.argsort(-lot.outcomes, kind="stable")
+    assert np.array_equal(pi, lot.probs[order])
 
 
 @st.composite

@@ -215,6 +215,10 @@ RAISES = {
     "nan-reference": (
         lambda: ValueFunction(NAN), ValueError, "reference point must be finite"
     ),
+    "nan-loss-aversion": (
+        lambda: ValueFunction(0.0, "piecewise_power", 0.5, 0.5, NAN),
+        ValueError, "loss_aversion must be >= 1",
+    ),
     "inf-reference": (
         lambda: ValueFunction(-INF, kind="piecewise_power"),
         ValueError, "reference point must be finite",
@@ -292,6 +296,10 @@ RAISES = {
         lambda: RandomizedStrategyProfile([np.eye(2), [[0.5, 0.4]]]),
         ValueError, "strategy map 1 rows must be distributions",
     ),
+    "strategy-map-nan": (
+        lambda: RandomizedStrategyProfile([[[NAN, 1.0], [1.0, 0.0]], np.eye(2)]),
+        ValueError, "strategy map 0 rows must be distributions",
+    ),
     "pure-action-of-mixed-row": (
         lambda: RandomizedStrategyProfile([[[0.5, 0.5]], np.eye(4)]).pure_action(0, 0),
         ValueError, "strategy of player 0 at signal 0 is not pure",
@@ -324,6 +332,14 @@ RAISES = {
         lambda: construct_mediator(GAME, MU, {(0, 0): [(0.7, ODD_MIX), (0.5, EVEN_MIX)]}),
         InvalidWitnessError, "weights for player 0 action 0 are not a distribution",
     ),
+    "construct-mediator-nan-weight": (
+        lambda: construct_mediator(GAME, MU, {(0, 0): [(NAN, ODD_MIX), (1.0, EVEN_MIX)]}),
+        InvalidWitnessError, "weights for player 0 action 0 are not a distribution",
+    ),
+    "construct-mediator-nan-point": (
+        lambda: construct_mediator(GAME, MU, {(0, 0): [(1.0, [NAN, 0.5, 0.5, 0.0])]}),
+        InvalidWitnessError, "witness point 0 for player 0 action 0 has a negative entry",
+    ),
     # calibration
     "record-append-id": (
         lambda: ForecastRecord(2).append(0, 0), ValueError, "forecast id not in the dictionary"
@@ -331,11 +347,8 @@ RAISES = {
     "record-append-outcome": (
         lambda: _record().append(0, 2), ValueError, "outcome index out of range"
     ),
-    "score-t-0": (
-        lambda: calibration_score(_record(2), 0), ValueError, "t must lie in [1, record length]"
-    ),
-    "score-t-past-length": (
-        lambda: calibration_score(_record(2), 3), ValueError, "t must lie in [1, record length]"
+    "score-empty-record": (
+        lambda: calibration_score(_record()), ValueError, "calibration score needs a nonempty record"
     ),
     "observe-before-predict": (
         lambda: CalibratedForecaster(2, 0.5).observe(0),
