@@ -66,6 +66,9 @@ def _as_product(mu) -> ProductDistribution:
 
 
 def cmd_check(args) -> int:
+    # strict JSON cannot write a tolerance of inf or nan into the certificate
+    if args.tol is not None and not np.isfinite(args.tol):
+        return _fail(f"--tol must be finite: {args.tol}", 2)
     try:
         game = game_from_dict(load_json(args.game))
         mu = distribution_from_dict(load_json(args.dist))
@@ -86,7 +89,6 @@ def cmd_check(args) -> int:
             cert = check_mediated_eq(game, mu, resolution=args.grid, **tol)
         else:
             return _fail(f"unknown mode {args.mode!r}", 2)
-        # strict JSON: a tolerance of inf or nan is an invalid input
         text = to_json({**cert.to_dict(), "schema_version": SCHEMA_VERSION, "mode": args.mode})
     except ValueError as e:
         return _fail(str(e), 2)

@@ -170,8 +170,8 @@ class ValueFunction:
             x = getattr(self, name)
             if x is None or not (lo < x <= hi):
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.loss_aversion is None or not self.loss_aversion >= 1.0:  # NaN fails
-            raise ValueError("loss_aversion must be >= 1")
+        if self.loss_aversion is None or not 1.0 <= self.loss_aversion < np.inf:  # NaN fails
+            raise ValueError("loss_aversion must be finite and >= 1")
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=float)

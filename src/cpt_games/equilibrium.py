@@ -21,6 +21,7 @@ a mediated member at the same tolerance.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,9 @@ from .simplex import hull_residual
 DEFAULT_TOL = 1e-9
 DEFAULT_HULL_TOL = 1e-6
 DEFAULT_GRID = 24
+# each game's cut regions, {(i, a_i, resolution, tol): points}: neither key
+# nor value refers to the game, so its regions go with it
+_REGIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 __all__ = [
     "DEFAULT_TOL",
@@ -305,30 +309,32 @@ def _hull_check_one(
     pi: OpponentDistribution,
     resolution: int,
     tol: float,
-    region_cache: dict,
+    region_cache: dict | weakref.WeakKeyDictionary,
 ) -> tuple[Certificate, int]:
     """Hull membership of one conditional against its acceptance region.
 
-    The region is cut to its candidate extreme points once, before it is
-    cached under (game, player, action, resolution, tolerance).  Returns the
-    certificate and the number of region points handed to the hull LP.
+    The region is cut to its candidate extreme points once and stored in
+    ``region_cache[game]`` under (player, action, resolution, tolerance).
+    Returns the certificate and the number of region points in the hull LP.
     """
     # a conditional that passes the exact region test certifies itself
     if _region_margin(game, i, a_i, pi) >= -tol:
         return Certificate(
             True, 0.0, {"kind": "hull", "theta": [1.0], "points": [pi.flat().tolist()]}
         ), 0
-    key = (game, i, a_i, resolution, tol)
-    points = region_cache.get(key)
+    regions = region_cache.setdefault(game, {})
+    key = (i, a_i, resolution, tol)
+    points = regions.get(key)
     if points is None:
         points = _extreme_candidates(sample_region(game, i, a_i, resolution, tol), resolution)
-        region_cache[key] = points
+        regions[key] = points
     return hull_membership(pi, points, tol), len(points)
 
 
-def _hull_checks(game, mu, players, resolution, tol, region_cache):
+def _hull_checks(game, mu, players, resolution, tol, region_cache=_REGIONS):
     """(i, a_i, certificate, LP points) for every supported conditional."""
-    region_cache = {} if region_cache is None else region_cache
+    if resolution is not None and resolution < 1:
+        raise ValueError("grid resolution must be >= 1")
     res = [
         resolution if resolution is not None else default_grid_resolution(game, i)
         for i in range(game.n)
@@ -350,16 +356,15 @@ def check_mediated_eq(
     hull of its sampled acceptance region.  Membership verdicts are sound
     up to the region tolerance; non-membership is relative to the grid
     resolution recorded in ``meta``, which also counts the region points
-    handed to hull LPs (``lp_points``).  A ``region_cache`` dict keeps the
-    sampled regions between calls, keyed by game, so one dict may serve
-    several games.
+    handed to hull LPs (``lp_points``).  Sampled regions live as long as
+    their game; a ``region_cache`` dict maps each game to its regions in
+    the caller's hands instead.  A resolution below 1 raises ``ValueError``.
     """
     if mu.shape != game.shape:
         raise ValueError("distribution shape does not match the game")
     worst, worst_key, hulls, lp_points = np.inf, None, {}, 0
-    for i, a_i, cert, used in _hull_checks(
-        game, mu, range(game.n), resolution, tol, region_cache
-    ):
+    cache = _REGIONS if region_cache is None else region_cache
+    for i, a_i, cert, used in _hull_checks(game, mu, range(game.n), resolution, tol, cache):
         lp_points += used
         hulls[f"{i}:{a_i}"] = cert.witness
         if cert.margin < worst:
@@ -375,7 +380,7 @@ def check_mediated_eq(
         {
             "check": "mediated",
             "tol": tol,
-            "resolution": resolution or "default",
+            "resolution": resolution if resolution is not None else "default",
             "lp_points": lp_points,
         },
     )
@@ -387,14 +392,14 @@ def mediated_hull_distance(
     resolution: int | None = None,
     tol: float = DEFAULT_HULL_TOL,
     players: list[int] | None = None,
-    region_cache: dict | None = None,
 ) -> float:
     """Largest sup-norm hull residual over the supported conditionals.
 
     Zero for members of the sampled mediated set.  Restricting ``players``
     measures the per-player hull distance used by convergence diagnostics.
+    It samples only the regions its game does not yet keep.
     """
     players = players if players is not None else range(game.n)
-    checks = _hull_checks(game, mu, players, resolution, tol, region_cache)
+    checks = _hull_checks(game, mu, players, resolution, tol)
     # 0.0 first: a self-certified conditional's -margin is -0.0
     return max([0.0] + [-cert.margin for _, _, cert, _ in checks])

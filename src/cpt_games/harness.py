@@ -72,15 +72,12 @@ class RunConfig:
         doc.pop("schema_version", None)
         config = cls(**doc)
         for name, kinds in _CONFIG_TYPES.items():
-            value = getattr(config, name)
-            if not _has_type(value, kinds):
-                raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
+            _check_value(f"config field {name!r}", getattr(config, name), kinds)
         known = _EXTRAS_TYPES.get(config.scenario, {})
         for name, value in config.extras.items():
             if name not in known:
                 raise ValueError(f"scenario {config.scenario!r} reads no extras entry {name!r}")
-            if not _has_type(value, known[name]):
-                raise ValueError(f"extras entry {name!r} has the wrong type: {value!r}")
+            _check_value(f"extras entry {name!r}", value, known[name])
         return config
 
 
@@ -112,6 +109,14 @@ def _has_type(value, kinds) -> bool:
     if isinstance(value, bool) and kinds is not bool:
         return False
     return isinstance(value, kinds)
+
+
+def _check_value(what: str, value, kinds) -> None:
+    if not _has_type(value, kinds):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    # Python's json reads NaN and Infinity, which strict JSON cannot write back
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{what} must be finite: {value!r}")
 
 
 def random_preferences(rng: np.random.Generator, eut: bool = False) -> CptPreferences:
@@ -213,20 +218,17 @@ def _scenario_random_2x2(config: RunConfig) -> dict:
     dists = ex.get("dists", 200)
     if games < 1 or dists < 1:
         raise ValueError("random-2x2 needs games >= 1 and dists >= 1")
-    resolution = config.grid_resolution or DEFAULT_GRID
+    resolution = DEFAULT_GRID if config.grid_resolution is None else config.grid_resolution
     rng = np.random.default_rng(config.seed)
     agree = 0
     total = 0
     disagreements = []
     for g_idx in range(games):
         game = random_game(rng, (2, 2))
-        cache: dict = {}
         for d_idx in range(dists):
             mu = random_distribution(rng, (2, 2))
             c = check_correlated_eq(game, mu, tol=config.tol)
-            d = check_mediated_eq(
-                game, mu, resolution=resolution, tol=config.tol, region_cache=cache
-            )
+            d = check_mediated_eq(game, mu, resolution=resolution, tol=config.tol)
             total += 1
             if c.member == d.member:
                 agree += 1

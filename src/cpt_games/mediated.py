@@ -248,6 +248,10 @@ def construct_mediator(
             )
         c = target.flat()
         for k, z in enumerate(zs):
+            if not np.isfinite(z).all():
+                raise InvalidWitnessError(
+                    f"witness point {k} for player {i} action {a_i} has a non-finite entry"
+                )
             if not (z >= -WITNESS_MIX_TOL).all():
                 raise InvalidWitnessError(
                     f"witness point {k} for player {i} action {a_i} has a negative entry"

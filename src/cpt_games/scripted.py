@@ -174,7 +174,6 @@ def scripted_cycle_run(
     xi = trace.empirical()
     scores = [max_calibration_score(trace, i) for i in range(game.n)]
     corr = check_correlated_eq(game, xi)
-    region_cache: dict = {}
     # proportional checkpoints share their xi bit for bit: one mediated check
     # each; the horizon checkpoint's xi is the final empirical distribution
     by_xi: dict = {}
@@ -182,8 +181,7 @@ def scripted_cycle_run(
         key = cp.xi.tobytes()
         if key not in by_xi:
             by_xi[key] = check_mediated_eq(
-                game, JointDistribution(cp.xi), resolution=resolution, tol=tol,
-                region_cache=region_cache,
+                game, JointDistribution(cp.xi), resolution=resolution, tol=tol
             )
     med = by_xi[trace.checkpoints[-1].xi.tobytes()]
     # 0.0 first: a self-certified conditional's -margin is -0.0

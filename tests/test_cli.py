@@ -168,12 +168,13 @@ class TestCheck:
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_exits_2(self, files, tol, capsys):
-        # strict JSON cannot write the tolerance into the certificate's meta
+        # strict JSON cannot write the tolerance into the certificate's meta,
+        # so it is rejected before the check runs
         code = main(["check", "--game", files["game.json"], "--dist", files["mu_o.json"],
                      "--tol", tol])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err.startswith("error: --tol must be finite")
 
     def test_shape_mismatch_exits_3(self, files, tmp_path, capsys):
         dump_json(
@@ -225,6 +226,7 @@ class TestSimulate:
             {"scenario": "random", "extras": {"sizes": 3}},
             {"scenario": "random", "T": 10, "extras": {"size": [2, 2, 2]}},  # misspelled key
             {"scenario": "example1-2p", "extras": {"runs": 3}},  # reads no extras
+            {"scenario": "random-2x2", "grid_resolution": 0, "extras": {"games": 1, "dists": 3}},
         ],
     )
     def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):
@@ -250,11 +252,21 @@ class TestSimulate:
         assert isinstance(result["correlated_margin"], float)
 
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
-        # Python's json reads NaN, which strict JSON cannot write back
-        (tmp_path / "cfg.json").write_text('{"scenario": "example1-2p", "T": 64, "tol": NaN}')
-        assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        # Python's json reads NaN and Infinity, which strict JSON cannot write
+        # back: the config is rejected before the scenario runs
+        for field, text in [
+            ("'tol'", '{"scenario": "example1-2p", "T": 64, "tol": NaN}'),
+            ("'forecaster_epsilon'", '{"scenario": "random", "T": 64, "forecaster_epsilon": Infinity}'),
+            ("'eps_tilde'", '{"scenario": "example2", "extras": {"eps_tilde": -Infinity}}'),
+        ]:
+            (tmp_path / "cfg.json").write_text(text)
+            out = tmp_path / "run"
+            assert main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert field in captured.err and "must be finite" in captured.err
+            assert not (out / "trace.jsonl").exists()
 
     def test_rerun_from_emitted_config_is_bit_identical(self, files, tmp_path, capsys):
         out1 = tmp_path / "run1"

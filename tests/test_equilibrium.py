@@ -1,20 +1,25 @@
 """Equilibrium membership: regions, correlated, Nash, hulls, mediated."""
 
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from cpt_games import equilibrium
 from cpt_games.cpt import cpt_value
 from cpt_games.equilibrium import (
+    DEFAULT_HULL_TOL,
     _extreme_candidates,
     action_values,
     best_reaction,
     check_correlated_eq,
     check_mediated_eq,
     check_nash,
+    default_grid_resolution,
     hull_membership,
     mediated_hull_distance,
     region_membership,
@@ -436,7 +441,7 @@ class TestMediated:
             mu = random_distribution(rng, (2, 4))
             for res, tol in [(2, 1e-6), (24, 1e-6), (24, 1e-3), (2, 1e-3)]:
                 shared = check_mediated_eq(game, mu, resolution=res, tol=tol, region_cache=cache)
-                fresh = check_mediated_eq(game, mu, resolution=res, tol=tol)
+                fresh = check_mediated_eq(game, mu, resolution=res, tol=tol, region_cache={})
                 assert shared.to_dict() == fresh.to_dict()
 
     def test_region_cache_serves_several_games(self, game, mu_star):
@@ -449,18 +454,48 @@ class TestMediated:
         payoffs = np.array(game.payoffs)
         payoffs[0, 0] = -10.0
         other = Game(game.actions, payoffs, game.prefs)
-        fresh = check_mediated_eq(other, mu_star)
+        fresh = check_mediated_eq(other, mu_star, region_cache={})
         assert not fresh.member and fresh.margin == -np.inf
         shared = check_mediated_eq(other, mu_star, region_cache=cache)
         dumped = json.dumps(shared.to_dict(), sort_keys=True)
         assert dumped == json.dumps(fresh.to_dict(), sort_keys=True)
-        assert (
-            mediated_hull_distance(other, mu_star, region_cache=cache)
-            == mediated_hull_distance(other, mu_star)
-            == np.inf
-        )
+        assert mediated_hull_distance(other, mu_star) == np.inf
         # the game it served first still reads its own regions
         assert check_mediated_eq(game, mu_star, region_cache=cache).member
+
+    def test_game_keeps_its_regions(self, monkeypatch, mu_star):
+        # two default checks and a hull distance sample each needed region once
+        game = counterexample_game()
+        needed = []
+        for i in range(game.n):
+            m = marginal(mu_star, i)
+            for a in np.flatnonzero(m > 0.0):
+                values = action_values(game, i, conditional(mu_star, i, a))
+                if values[a] - values.max() < -DEFAULT_HULL_TOL:
+                    needed.append((i, int(a), default_grid_resolution(game, i), DEFAULT_HULL_TOL))
+        assert needed
+        calls = []
+
+        def counted(g, *key):
+            assert g is game
+            calls.append(key)
+            return sample_region(g, *key)
+
+        monkeypatch.setattr(equilibrium, "sample_region", counted)
+        first = check_mediated_eq(game, mu_star)
+        assert first.member
+        assert check_mediated_eq(game, mu_star).to_dict() == first.to_dict()
+        assert mediated_hull_distance(game, mu_star) == max(0.0, -first.margin)
+        assert sorted(calls) == sorted(needed)
+
+    def test_regions_do_not_keep_their_game_alive(self, mu_star):
+        game = counterexample_game()
+        cert = check_mediated_eq(game, mu_star)
+        assert cert.meta["lp_points"] > 0 and game in equilibrium._REGIONS
+        ref = weakref.ref(game)
+        del game
+        gc.collect()
+        assert ref() is None
 
     def test_hull_distance_zero_for_members(self, game, mu_star, mu_o):
         assert mediated_hull_distance(game, mu_star, resolution=8) == 0.0

@@ -278,9 +278,7 @@ class TestFrozenScans:
                     ref = ref_mediated(game, mu, RESOLUTION, tol, ref_cache)
                     assert dump(lib) == dump(ref)
                     for players in (None, [0]):
-                        lib_d = mediated_hull_distance(
-                            game, mu, RESOLUTION, tol, players, lib_cache
-                        )
+                        lib_d = mediated_hull_distance(game, mu, RESOLUTION, tol, players)
                         ref_d = ref_hull_distance(game, mu, RESOLUTION, tol, players, ref_cache)
                         assert json.dumps(lib_d) == json.dumps(ref_d)
 

@@ -23,7 +23,12 @@ from cpt_games.cpt import (
     row_values,
 )
 from cpt_games.engine import FixedMixStrategy, cpt_regret_matrix, max_calibration_score, run_engine
-from cpt_games.equilibrium import check_correlated_eq, check_mediated_eq, check_nash
+from cpt_games.equilibrium import (
+    check_correlated_eq,
+    check_mediated_eq,
+    check_nash,
+    mediated_hull_distance,
+)
 from cpt_games.games import (
     Game,
     JointDistribution,
@@ -49,6 +54,7 @@ from cpt_games.scripted import (
     BlockSchedule,
     counterexample_game,
     cycle_average_distribution,
+    odd_cycle_distribution,
     wilson_interval,
 )
 from cpt_games.simplex import hull_residual
@@ -217,7 +223,11 @@ RAISES = {
     ),
     "nan-loss-aversion": (
         lambda: ValueFunction(0.0, "piecewise_power", 0.5, 0.5, NAN),
-        ValueError, "loss_aversion must be >= 1",
+        ValueError, "loss_aversion must be finite and >= 1",
+    ),
+    "inf-loss-aversion": (
+        lambda: ValueFunction(0.0, "piecewise_power", 0.5, 0.5, INF),
+        ValueError, "loss_aversion must be finite and >= 1",
     ),
     "inf-reference": (
         lambda: ValueFunction(-INF, kind="piecewise_power"),
@@ -279,6 +289,15 @@ RAISES = {
         lambda: check_mediated_eq(GAME, MU_2X2),
         ValueError, "distribution shape does not match the game",
     ),
+    # every conditional of the odd cycle certifies itself, so no grid is built
+    "mediated-resolution-0": (
+        lambda: check_mediated_eq(GAME, JointDistribution(odd_cycle_distribution()), 0),
+        ValueError, "grid resolution must be >= 1",
+    ),
+    "hull-distance-resolution-0": (
+        lambda: mediated_hull_distance(GAME, JointDistribution(odd_cycle_distribution()), 0),
+        ValueError, "grid resolution must be >= 1",
+    ),
     # mediated
     "signal-set-count": (
         lambda: MediatedGame(GAME, [("0", "1")], MU),
@@ -338,7 +357,11 @@ RAISES = {
     ),
     "construct-mediator-nan-point": (
         lambda: construct_mediator(GAME, MU, {(0, 0): [(1.0, [NAN, 0.5, 0.5, 0.0])]}),
-        InvalidWitnessError, "witness point 0 for player 0 action 0 has a negative entry",
+        InvalidWitnessError, "witness point 0 for player 0 action 0 has a non-finite entry",
+    ),
+    "construct-mediator-inf-point": (
+        lambda: construct_mediator(GAME, MU, {(0, 0): [(1.0, [INF, 0.5, 0.5, 0.0])]}),
+        InvalidWitnessError, "witness point 0 for player 0 action 0 has a non-finite entry",
     ),
     # calibration
     "record-append-id": (
