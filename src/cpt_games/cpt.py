@@ -100,20 +100,24 @@ class WeightingFunction:
         out = self._weigh(q).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
-    def _weigh(self, q: np.ndarray) -> np.ndarray:
+    def _weigh(self, q: np.ndarray, zero: bool = True) -> np.ndarray:
         """The weights of a C-contiguous 1-d array of probabilities in [0, 1].
 
         ``exp``, ``log`` and ``pow`` see a C-contiguous 1-d array: a strided
         array takes another inner loop, and a NumPy scalar another ``pow``,
         either of which can round differently.  IEEE special values give
         w(0) = 0 and w(1) = 1 exactly: log(0) = -inf, exp(-inf) = 0 and
-        log(1) = 0.
+        log(1) = 0.  ``zero=False`` promises that ``q`` holds no 0, so
+        Prelec skips the ``np.errstate`` that silences log(0): entering it
+        costs more than weighing a few boundaries.
         """
         if self.kind == "identity":
             return q.copy()
         if self.kind == "prelec":
-            with np.errstate(divide="ignore"):
-                return np.exp(-((-np.log(q)) ** self.gamma))
+            if zero:
+                with np.errstate(divide="ignore"):
+                    return np.exp(-((-np.log(q)) ** self.gamma))
+            return np.exp(-((-np.log(q)) ** self.gamma))
         return np.interp(q, self._ps, self._ws)
 
 
@@ -338,7 +342,9 @@ def _ranked_weights(
 
     Boundaries are Python floats in [0, 1]; each weighting function sees
     them as one C-contiguous array in best-to-worst order, past the clamp of
-    its public call.
+    its public call.  Each side's sums start at its far end (the best gain,
+    the worst loss) and only add nonnegative mass, so the first is 0
+    whenever any boundary is.
     """
     ref = prefs.reference
     t = len(z)
@@ -347,12 +353,12 @@ def _ranked_weights(
         split += 1
     gains, losses = p[:split], p[split:]
     if gains and prefs.weight_gain.kind != "identity":
-        w = prefs.weight_gain._weigh(np.array(_block_cumulative(gains, z[:split], total)))
-        w = w.tolist()
+        cum = _block_cumulative(gains, z[:split], total)
+        w = prefs.weight_gain._weigh(np.array(cum), zero=cum[0] == 0.0).tolist()
         gains = [b - a for a, b in zip([0.0] + w, w)]
     if losses and prefs.weight_loss.kind != "identity":
         tail = _block_cumulative(losses[::-1], z[split:][::-1], total)
-        w = prefs.weight_loss._weigh(np.array(tail[::-1])).tolist()
+        w = prefs.weight_loss._weigh(np.array(tail[::-1]), zero=tail[0] == 0.0).tolist()
         losses = [a - b for a, b in zip(w, w[1:] + [0.0])]
     # weighting functions are increasing, so weights are nonnegative up to
     # rounding of the cumulative sums

@@ -46,6 +46,9 @@ DEFAULT_GRID = 24
 # each game's cut regions, {(i, a_i, resolution, tol): points}: neither key
 # nor value refers to the game, so its regions go with it
 _REGIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# each game's valued grids, {(i, resolution): (grid, values, row max)}, freed
+# with the game by the same rule
+_GRID_VALUES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 __all__ = [
     "DEFAULT_TOL",
@@ -235,12 +238,19 @@ def sample_region(
 
     Returns the flat opponent-profile vectors (denominator ``resolution``)
     whose worst deviation slack is >= -tol, in deterministic grid order.
-    Every action's value on the whole grid is one ``cpt_values`` call.
+    Each action's value on the whole grid is one ``cpt_values`` call, made
+    once per (game, player, resolution) and shared by every action and
+    tolerance.
     """
-    grid = simplex_grid(game.num_opponent_profiles(i), resolution)
-    outcomes = player_rows(game.payoffs[i], i)
-    values = np.column_stack([cpt_values(grid, z, game.prefs[i]) for z in outcomes])
-    return grid[values[:, a_i] - values.max(axis=1) >= -tol]
+    kept = _GRID_VALUES.setdefault(game, {})
+    key = (i, resolution)
+    if key not in kept:
+        grid = simplex_grid(game.num_opponent_profiles(i), resolution)
+        outcomes = player_rows(game.payoffs[i], i)
+        values = np.column_stack([cpt_values(grid, z, game.prefs[i]) for z in outcomes])
+        kept[key] = grid, values, values.max(axis=1)
+    grid, values, top = kept[key]
+    return grid[values[:, a_i] - top >= -tol]
 
 
 def _extreme_candidates(points: np.ndarray, resolution: int) -> np.ndarray:

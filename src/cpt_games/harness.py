@@ -73,6 +73,9 @@ class RunConfig:
         config = cls(**doc)
         for name, kinds in _CONFIG_TYPES.items():
             _check_value(f"config field {name!r}", getattr(config, name), kinds)
+        # rejected before a scenario runs or its output directory is made
+        if config.grid_resolution is not None and config.grid_resolution < 1:
+            raise ValueError("grid resolution must be >= 1")
         known = _EXTRAS_TYPES.get(config.scenario, {})
         for name, value in config.extras.items():
             if name not in known:

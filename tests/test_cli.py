@@ -227,13 +227,23 @@ class TestSimulate:
             {"scenario": "random", "T": 10, "extras": {"size": [2, 2, 2]}},  # misspelled key
             {"scenario": "example1-2p", "extras": {"runs": 3}},  # reads no extras
             {"scenario": "random-2x2", "grid_resolution": 0, "extras": {"games": 1, "dists": 3}},
+            # "out" names a run directory passed as --out, which must not be made
+            {"scenario": "example1-2p", "T": 64, "grid_resolution": 0, "out": "run"},
+            {"scenario": "example2", "grid_resolution": 0},
         ],
     )
     def test_invalid_config_value_exits_2(self, doc, tmp_path, capsys):
+        doc = dict(doc)
+        out = doc.pop("out", None)
         dump_json(doc, tmp_path / "cfg.json")
-        assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 2
+        argv = ["simulate", "--config", str(tmp_path / "cfg.json")]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        if out is not None:
+            assert not (tmp_path / out).exists()
 
     def test_non_finite_margin_prints_strict_json(self, tmp_path, capsys):
         # on this seed the resolution-1 grid gives an empty sampled region, so

@@ -1,6 +1,7 @@
 """CPT evaluation: weighting, values, decision weights, regret."""
 
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestCptValue:
         )
         prefs = CptPreferences(identity_value(reference), prelec_weighting(gamma), identity_weighting())
         assert abs(cpt_value(Lottery(probs, outcomes), prefs) - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "outcomes", [[3.0, 2.0, -1.0, -3.0], [3.0, 3.0, -3.0, -3.0]]  # tied blocks as well
+    )
+    def test_zero_end_boundaries_raise_no_warning(self, prelec_prefs, outcomes):
+        # the best gain and the worst loss have probability 0: Prelec weighs a
+        # zero boundary, whose log(0) must not warn
+        lot = Lottery([0.0, 0.3, 0.7, 0.0], outcomes)
+
+        def w(x):
+            return math.exp(-math.sqrt(-math.log(x)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = cpt_value(lot, prelec_prefs)
+            pi, split = decision_weights(lot, prelec_prefs)
+        assert split == 2 and pi[0] == 0.0 and pi[-1] == 0.0
+        assert value == pytest.approx(outcomes[1] * w(0.3) + outcomes[2] * w(0.7), abs=1e-12)
 
 
 class TestCptValues:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cpt_games import equilibrium
-from cpt_games.cpt import cpt_value
+from cpt_games.cpt import cpt_value, cpt_values
 from cpt_games.equilibrium import (
     DEFAULT_HULL_TOL,
     _extreme_candidates,
@@ -223,6 +223,37 @@ class TestSampleRegion:
         g = Game([("a", "b"), ("x", "y", "z")], payoffs)
         pts = sample_region(g, 0, 0, 4)
         assert len(pts) == math.comb(4 + 2, 2)
+
+    def test_grid_valued_once_per_player(self, monkeypatch):
+        # three actions at two tolerances: one cpt_values call per outcome row
+        game = random_game(np.random.default_rng(12), (3, 3))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cpt_values(*args)
+
+        monkeypatch.setattr(equilibrium, "cpt_values", counted)
+        for tol in (1e-9, 0.05):
+            for a in range(3):
+                sample_region(game, 0, a, 12, tol)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "make, resolution",
+        [
+            (lambda: tied_random_game(4, (3, 3)), 12),
+            (lambda: random_game(np.random.default_rng(7), (2, 2, 2)), 6),
+        ],
+    )
+    def test_warm_regions_equal_cold_ones(self, make, resolution):
+        warm = make()
+        for tol in (1e-9, 0.25):
+            for i in range(warm.n):
+                for a in range(warm.num_actions(i)):
+                    cold = sample_region(make(), i, a, resolution, tol)
+                    assert np.array_equal(sample_region(warm, i, a, resolution, tol), cold)
+        assert set(equilibrium._GRID_VALUES[warm]) == {(i, resolution) for i in range(warm.n)}
 
 
 def reduction_games():
@@ -492,6 +523,7 @@ class TestMediated:
         game = counterexample_game()
         cert = check_mediated_eq(game, mu_star)
         assert cert.meta["lp_points"] > 0 and game in equilibrium._REGIONS
+        assert game in equilibrium._GRID_VALUES
         ref = weakref.ref(game)
         del game
         gc.collect()
